@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-session bench-smoke bench-compare trend-smoke figures examples lint lint-fast clean telemetry-smoke monitor-smoke chaos-smoke health-smoke hotspots-smoke heal-smoke
+.PHONY: install test perf-test bench bench-session bench-smoke bench-compare trend-smoke figures examples lint lint-fast clean telemetry-smoke monitor-smoke chaos-smoke health-smoke hotspots-smoke heal-smoke
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -12,6 +12,11 @@ test:
 
 test-fast:
 	$(PYTHON) -m pytest tests/ -x -q -m "not slow" --ignore=tests/experiments
+
+# The benchmark's own tests (perf/, outside the tier-1 testpaths): tiny
+# runs of every workload, answer checks, input determinism.  ~20 s.
+perf-test:
+	PYTHONPATH=src $(PYTHON) -m pytest perf/ -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import random
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -148,6 +149,16 @@ def baseline_networks(k: int, seed: int = 0) -> Dict[str, Network]:
         "random graph": build_jellyfish_like_fat_tree(k, random.Random(seed)),
         "two-stage": build_two_stage(params, random.Random(seed + 1)),
     }
+
+
+def placement_rng(seed: int, placement: str) -> random.Random:
+    """The RNG of one placement's workload, the same in every process.
+
+    The placement name enters the seed through CRC-32: the builtin
+    ``hash()`` of a str changes from process to process with
+    ``PYTHONHASHSEED``.
+    """
+    return random.Random(seed + zlib.crc32(placement.encode()) % 1000)
 
 
 def pod_groups_for(params: ClosParams) -> List[Sequence[int]]:

@@ -22,6 +22,7 @@ from repro.experiments.common import (
     baseline_networks,
     flat_tree_network,
     ks_from_env,
+    placement_rng,
     throughput_of,
 )
 from repro.core.conversion import Mode
@@ -85,7 +86,7 @@ def run_fig8(
         }
         for place in PLACEMENTS:
             workload = all_to_all_workload(
-                params, place, random.Random(seed + hash(place) % 1000),
+                params, place, placement_rng(seed, place),
                 cluster_size=cluster_size,
             )
             for topo, net in nets.items():

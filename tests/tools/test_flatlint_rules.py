@@ -128,6 +128,32 @@ class TestFT001Determinism:
             """)
         assert [f.code for f in findings] == ["FT001", "FT001"]
 
+    def test_hash_derived_seed_fires(self, tmp_path):
+        findings = lint_snippet(tmp_path, "mod.py", """\
+            import random
+            import numpy as np
+
+            def streams(seed, place, rng):
+                a = random.Random(seed + hash(place) % 1000)
+                b = np.random.default_rng(seed=hash((seed, place)))
+                rng.seed(hash(place))
+                return a, b
+            """)
+        assert [f.code for f in findings] == ["FT001"] * 3
+        assert all("hash()" in f.message for f in findings)
+        assert "PYTHONHASHSEED" in findings[0].message
+
+    def test_stable_seed_and_hash_elsewhere_are_clean(self, tmp_path):
+        findings = lint_snippet(tmp_path, "mod.py", """\
+            import random
+            import zlib
+
+            def stream(seed, place, table):
+                table[hash(place)] = place
+                return random.Random(seed + zlib.crc32(place.encode()) % 1000)
+            """)
+        assert findings == []
+
 
 class TestFT002TelemetryContract:
     def test_unregistered_name_fires_in_library(self, tmp_path):

@@ -2,7 +2,7 @@
 
 The experiments (and the paper's conversion-cost comparisons) depend
 on runs being bit-for-bit reproducible per seed: ``make chaos-smoke``
-literally ``cmp``'s two sweep outputs.  Three things silently break
+literally ``cmp``'s two sweep outputs.  Four things silently break
 that property and are flagged here:
 
 * **module-level RNG** — ``random.random()`` / ``np.random.rand()``
@@ -14,7 +14,11 @@ that property and are flagged here:
   clock (telemetry timestamps in ``repro.obs`` are exempt by scope);
 * **ordered consumption of unordered sets** — iterating a bare
   ``set(...)`` (or set union/intersection) into a list, loop, join or
-  RNG choice leaks ``PYTHONHASHSEED``-dependent ordering into output.
+  RNG choice leaks ``PYTHONHASHSEED``-dependent ordering into output;
+* **hash-derived seeds** — the builtin ``hash()`` of a str or bytes
+  changes per process with ``PYTHONHASHSEED``, so ``hash(...)`` inside
+  the arguments of ``random.Random``, ``default_rng`` or a ``seed``
+  call gives every process a different stream for the same seed.
 """
 
 from __future__ import annotations
@@ -43,6 +47,11 @@ _WALL_CLOCK = {
 #: Packages whose code runs inside the simulated timeline.
 _WALL_CLOCK_SCOPES = ("repro.chaos", "repro.flowsim", "repro.experiments")
 
+#: Callees whose arguments become an RNG seed (matched by final name,
+#: so ``rng.seed(...)`` on a local generator counts too).
+_SEED_SINKS = {"Random", "default_rng", "RandomState", "SeedSequence",
+               "seed"}
+
 #: ``x.choice(set(...))``-style consumers whose result order matters.
 _ORDER_SENSITIVE_METHODS = {"choice", "choices", "sample", "shuffle", "join"}
 
@@ -70,7 +79,8 @@ class DeterminismRule(Rule):
     code = "FT001"
     name = "determinism"
     summary = ("unseeded global RNG, wall-clock reads in simulation "
-               "code, and order-sensitive iteration over bare sets")
+               "code, order-sensitive iteration over bare sets, and "
+               "hash()-derived seeds")
 
     def check_file(self, f: SourceFile) -> Iterator[Finding]:
         imports = ImportMap.of(f.tree)
@@ -101,6 +111,7 @@ class DeterminismRule(Rule):
                     "clock (or an injected time source), never the host",
                 )
         yield from self._check_set_consumers(f, node)
+        yield from self._check_hash_seed(f, node, imports)
 
     def _check_global_rng(self, f: SourceFile, node: ast.Call,
                           resolved: str) -> Iterator[Finding]:
@@ -120,6 +131,28 @@ class DeterminismRule(Rule):
                     f"global numpy RNG call {resolved}() — use a "
                     "numpy.random.default_rng(seed) generator instead",
                 )
+
+    def _check_hash_seed(self, f: SourceFile, node: ast.Call,
+                         imports: ImportMap) -> Iterator[Finding]:
+        func = node.func
+        callee = (func.attr if isinstance(func, ast.Attribute)
+                  else func.id if isinstance(func, ast.Name) else None)
+        if callee not in _SEED_SINKS:
+            return
+        seeds = [*node.args, *(kw.value for kw in node.keywords)]
+        for arg in seeds:
+            for inner in ast.walk(arg):
+                if (isinstance(inner, ast.Call)
+                        and isinstance(inner.func, ast.Name)
+                        and inner.func.id == "hash"
+                        and imports.resolve_imported(inner.func) is None):
+                    yield f.finding(
+                        inner, self.code,
+                        f"builtin hash() feeds the seed of {callee}(...) — "
+                        "a str/bytes hash changes per process with "
+                        "PYTHONHASHSEED; derive the seed stably, e.g. "
+                        "zlib.crc32(name.encode())",
+                    )
 
     def _check_set_order(self, f: SourceFile, iter_node: ast.AST,
                          where: str) -> Iterator[Finding]:

@@ -27,21 +27,22 @@ bench-session:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench
 
 # Tiny bench smoke for CI: two fast benches -> BENCH_smoke.json, then
-# prove the comparator wiring with a self-compare (must exit 0).  The
+# prove the pairwise gate's wiring with a self-diff (must exit 0).  The
 # file is left behind for the CI artifact upload; `make clean` removes it.
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --select "fig5 or ksp" --out BENCH_smoke.json --label smoke
-	$(PYTHON) -m tools.perfreport compare BENCH_smoke.json BENCH_smoke.json
+	$(PYTHON) -m tools.perfreport diff BENCH_smoke.json BENCH_smoke.json
 
 # Trajectory-aware regression gate: the default judges the newest
 # point of every bench/hotspot metric against a MAD noise band fitted
 # to the whole recorded BENCH_*/HOTSPOTS_* trajectory (exit 1 only
 # when a metric steps outside its band — a regression must beat the
 # noise, not just the 25% pairwise tolerance).  Override with
-# BASE=... NEW=... to fall back to the pairwise two-session compare.
+# BASE=... NEW=... for the pairwise two-session diff; its exit 1 (a
+# grown bench) is reported but tolerated, and only usage errors fail.
 bench-compare:
 	@if [ -n "$$BASE" ] || [ -n "$$NEW" ]; then \
-		$(PYTHON) -m tools.perfreport compare "$$BASE" "$$NEW"; \
+		$(PYTHON) -m tools.perfreport diff "$$BASE" "$$NEW" --min-runtime 0.05 || [ $$? -eq 1 ]; \
 	else \
 		$(PYTHON) -m tools.perfreport trend; \
 	fi

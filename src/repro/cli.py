@@ -351,23 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="flow count for the flowsim FCT stage")
     p.set_defaults(handler=_hotspots_handler)
 
-    p = sub.add_parser("trend",
-                       help="trajectory-aware regression analytics over "
-                            "the recorded BENCH_*/HOTSPOTS_* sessions")
-    p.add_argument("--root", default=None, metavar="DIR",
-                   help="directory scanned for numbered sessions "
-                        "(default: the repo root)")
-    p.add_argument("--window", type=int, default=None,
-                   help="trailing sessions the noise model is fitted to "
-                        "(default 8)")
-    p.add_argument("--sigmas", type=float, default=None,
-                   help="band half-width in robust MAD sigmas (default 4)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="also write the JSON report here")
-    p.add_argument("--json", action="store_true",
-                   help="print the report as JSON instead of text")
-    p.set_defaults(handler=_trend_handler)
-
     p = sub.add_parser("info",
                        help="package version, dependencies, telemetry sinks")
     p.set_defaults(handler=_info_handler)
@@ -440,7 +423,8 @@ def _bench_handler(args) -> int:
         print("bench: pytest-benchmark is required "
               "(pip install -e .[dev])", file=sys.stderr)
         return 2
-    out = Path(args.out) if args.out else bench_sessions.next_bench_path(root)
+    out = (Path(args.out) if args.out
+           else bench_sessions.next_session_path(root))
 
     with tempfile.TemporaryDirectory() as tmp:
         bench_json = Path(tmp) / "pytest-benchmark.json"
@@ -472,7 +456,7 @@ def _bench_handler(args) -> int:
           f"commit {session['environment'].get('git_commit') or '?'}")
     for key, entry in sorted(session["benchmarks"].items()):
         print(f"  {entry['wall_s']:>10.4f}s  {key}")
-    print("compare sessions with: python -m tools.perfreport compare "
+    print("compare sessions with: python -m tools.perfreport diff "
           "BASE NEW (see docs/performance.md)")
     return 0
 
@@ -492,7 +476,7 @@ def _hotspots_handler(args) -> int:
         return 2
     root = bench_sessions.repo_root()
     out = (Path(args.out) if args.out
-           else hotspot_docs.next_hotspots_path(root))
+           else bench_sessions.next_session_path(root, hotspot_docs.PREFIX))
     result = run_campaign(k=args.k, hz=args.hz, seed=args.seed,
                           flows=args.flows)
     document = hotspot_docs.build_document(
@@ -512,38 +496,6 @@ def _hotspots_handler(args) -> int:
     print("inspect with: python -m tools.perfreport hotspots "
           f"{out.name} (see docs/performance.md)")
     return 0
-
-
-def _trend_handler(args) -> int:
-    """Judge the recorded perf trajectory against its own noise model.
-
-    Exit codes follow the comparator convention: 0 = the newest
-    sessions sit inside their MAD noise bands, 1 = at least one metric
-    stepped up (regression).
-    """
-    import json
-    from pathlib import Path
-
-    from repro.obs import bench as bench_sessions
-    from repro.obs import trend as trend_engine
-
-    root = Path(args.root) if args.root else bench_sessions.repo_root()
-    kwargs = {}
-    if args.window is not None:
-        kwargs["window"] = args.window
-    if args.sigmas is not None:
-        kwargs["sigmas"] = args.sigmas
-    report = trend_engine.analyze_trajectory(root, **kwargs)
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps(trend_engine.render_json(report), indent=1,
-                       sort_keys=True) + "\n", encoding="utf-8")
-        print(f"trend: wrote {args.out}")
-    print(json.dumps(trend_engine.render_json(report), indent=1,
-                     sort_keys=True)
-          if args.json else trend_engine.render_text(report))
-    trend_engine.emit_trend_event(report)
-    return report.exit_code
 
 
 def _health_handler(args) -> int:
@@ -767,16 +719,16 @@ def _info_handler(args) -> int:
     from repro.obs import hotspots as hotspot_docs
 
     root = bench_sessions.repo_root()
-    sessions = bench_sessions.bench_paths(root)
-    campaigns = hotspot_docs.hotspot_paths(root)
+    sessions = bench_sessions.session_paths(root)
+    campaigns = bench_sessions.session_paths(root, hotspot_docs.PREFIX)
     print(
         "perf: span-tree profiler + folded-stack export "
         "(python -m tools.perfreport profile/flamegraph), "
         f"bench trajectory {len(sessions)} BENCH_*.json session(s) "
         "(flattree bench, docs/performance.md), differential analysis "
-        "(perfreport diff: span-tree/hotspot/bench deltas + "
-        "differential flamegraphs), trajectory trend gate with MAD "
-        "noise bands (flattree trend, perfreport trend)"
+        "(perfreport diff: pairwise gate + span-tree/hotspot/bench "
+        "deltas + differential flamegraphs), trajectory trend gate with "
+        "MAD noise bands (perfreport trend)"
     )
     print(
         "hotspots: sampling profiler + progress heartbeats, "

@@ -17,6 +17,8 @@ import json
 import math
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from repro.obs import scrub_nonfinite
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.health.aggregate import HealthAggregator
 
@@ -24,17 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 SCHEMA = "flattree.health/1"
 #: Hot links included in the report body.
 TOP_K = 10
-
-
-def _scrub(value: object) -> object:
-    """Replace NaN/inf with None so JSON stays standard and diffable."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _scrub(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_scrub(v) for v in value]
-    return value
 
 
 class HealthReport:
@@ -104,7 +95,7 @@ class HealthReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(_scrub(self.to_dict()), sort_keys=True,
+        return json.dumps(scrub_nonfinite(self.to_dict()), sort_keys=True,
                           indent=2) + "\n"
 
     # -- human ---------------------------------------------------------

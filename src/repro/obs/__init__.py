@@ -46,6 +46,7 @@ from repro.obs.stats import (
     gini,
     nearest_rank_quantile,
     quantile_summary,
+    scrub_nonfinite,
 )
 from repro.obs.sinks import (
     FileSink,
@@ -120,6 +121,7 @@ __all__ = [
     "read_rss_kb",
     "registry",
     "render_table",
+    "scrub_nonfinite",
     "set_gauge",
     "span",
     "timer",

@@ -1,4 +1,4 @@
-"""Durable benchmark sessions: the ``BENCH_<seq>.json`` trajectory.
+"""Durable perf sessions: the ``BENCH_<seq>.json`` trajectory.
 
 ``benchmarks/METRICS.json`` is overwritten on every bench run and
 pytest-benchmark's tables scroll away with the terminal, so the repo
@@ -17,10 +17,19 @@ per bench session, carrying
 * a monotonically growing sequence number, so ``BENCH_1.json``,
   ``BENCH_2.json``, ... form the repository's perf trajectory.
 
+It is also the one session-file layer under both numbered artifact
+kinds, ``BENCH_<seq>.json`` and ``HOTSPOTS_<seq>.json``
+(:mod:`repro.obs.hotspots`): sequence discovery and the next free
+slot by prefix, the seq parser, environment drift between two
+fingerprints, the validate-then-write / read-then-validate JSON
+helpers, and the noise thresholds every perf judge shares.
+
 Produced by ``flattree bench`` (see :mod:`repro.cli`), consumed by the
-regression gate ``python -m tools.perfreport compare BASE NEW`` and by
-``make bench-compare`` / ``make bench-smoke``.  The schema is
-documented in ``docs/performance.md``.
+pairwise gate ``python -m tools.perfreport diff BASE NEW``
+(:mod:`repro.obs.diffprof`), the trajectory gate ``python -m
+tools.perfreport trend`` (:mod:`repro.obs.trend`), and ``make
+bench-compare`` / ``make bench-smoke``.  The schema is documented in
+``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -33,16 +42,32 @@ import re
 import subprocess
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.errors import ReproError
+from repro.obs.stats import scrub_nonfinite
 
 #: Version of the BENCH_*.json layout; bump on breaking change.
 BENCH_SCHEMA_VERSION = 1
 
-#: Repo-root session files: ``BENCH_<seq>.json`` (or a free-form tag
-#: such as ``BENCH_smoke.json`` for throwaway runs).
-_BENCH_SEQ = re.compile(r"^BENCH_(\d+)\.json$")
+#: Relative change every perf judge treats as noise: ``perfreport
+#: diff`` calls a bench grown only past ``1 + DEFAULT_TOLERANCE``, and
+#: ``perfreport trend`` never draws a band narrower than this share of
+#: the median.
+DEFAULT_TOLERANCE = 0.25
+
+#: Seconds: values under this on both sides are timer jitter, never
+#: judged.
+DEFAULT_MIN_RUNTIME_S = 0.005
+
+#: Numbered repo-root session files: ``<PREFIX>_<seq>.json``.  Free-form
+#: tags such as ``BENCH_smoke.json`` are throwaway runs that neither
+#: join the trajectory nor claim a sequence slot.
+_NUMBERED = re.compile(r"^[A-Z]+_(\d+)\.json$")
+
+#: Fingerprint keys whose drift makes two sessions incomparable.
+_DRIFT_KEYS = ("python", "implementation", "machine", "cpu_count",
+               "networkx", "numpy", "scipy")
 
 #: One bench entry: wall stats plus the registry snapshot.
 BenchEntry = Dict[str, Any]
@@ -94,20 +119,40 @@ def repo_root() -> Path:
     return Path(__file__).resolve().parents[3]
 
 
-def bench_paths(root: Path) -> List[Path]:
-    """Existing numbered sessions, oldest first."""
-    found = [(int(m.group(1)), path)
-             for path in root.glob("BENCH_*.json")
-             if (m := _BENCH_SEQ.match(path.name)) is not None]
+def session_seq(path: Path) -> Optional[int]:
+    """The ``<seq>`` of a numbered session file, ``None`` for a tag."""
+    match = _NUMBERED.match(path.name)
+    return int(match.group(1)) if match is not None else None
+
+
+def session_paths(root: Path, prefix: str = "BENCH") -> List[Path]:
+    """Existing numbered ``<prefix>_<seq>.json`` files, oldest first."""
+    found = [(seq, path) for path in root.glob(f"{prefix}_*.json")
+             if (seq := session_seq(path)) is not None]
     return [path for _, path in sorted(found)]
 
 
-def next_bench_path(root: Path) -> Path:
-    """The next free ``BENCH_<seq>.json`` slot under ``root``."""
-    taken = [int(m.group(1))
-             for path in root.glob("BENCH_*.json")
-             if (m := _BENCH_SEQ.match(path.name)) is not None]
-    return root / f"BENCH_{max(taken, default=0) + 1}.json"
+def next_session_path(root: Path, prefix: str = "BENCH") -> Path:
+    """The next free ``<prefix>_<seq>.json`` slot under ``root``."""
+    taken = [session_seq(path) or 0 for path in session_paths(root, prefix)]
+    return root / f"{prefix}_{max(taken, default=0) + 1}.json"
+
+
+def environment_drift(base: Mapping[str, object],
+                      new: Mapping[str, object]) -> List[str]:
+    """One ``"<key> changed <old> -> <new>"`` note per drifted key.
+
+    Compares the ``environment`` fingerprints of two decoded session
+    documents; a slower python or fewer CPUs explains a wall-time
+    step better than any code diff.  Empty when either side has no
+    fingerprint.
+    """
+    base_env = base.get("environment")
+    new_env = new.get("environment")
+    if not isinstance(base_env, dict) or not isinstance(new_env, dict):
+        return []
+    return [f"{key} changed {base_env.get(key)!r} -> {new_env.get(key)!r}"
+            for key in _DRIFT_KEYS if base_env.get(key) != new_env.get(key)]
 
 
 def normalize_nodeid(nodeid: str) -> str:
@@ -146,8 +191,8 @@ def build_session(
         "schema": BENCH_SCHEMA_VERSION,
         "label": label,
         # Session metadata by contract: ``ts`` records when the bench
-        # ran and is excluded from baseline comparison (see
-        # compare_sessions), so wall time here cannot skew replays.
+        # ran and no judge reads it (diffprof and trend compare wall
+        # times only), so wall time here cannot skew replays.
         "ts": time.time(),  # flatlint: disable=FT007
         "environment": environment_fingerprint(root),
         "benchmarks": benchmarks,
@@ -208,31 +253,49 @@ def validate_session(session: Mapping[str, object]) -> List[str]:
     return problems
 
 
-def write_session(path: Path, session: BenchSession) -> None:
-    """Write one session document (sorted keys, trailing newline)."""
-    problems = validate_session(session)
+#: A schema check over one decoded document: the list of problems.
+Validator = Callable[[Mapping[str, object]], List[str]]
+
+
+def write_json(path: Path, document: Mapping[str, Any],
+               validate: Validator, kind: str) -> None:
+    """Scrub NaN, schema-check, then write (sorted keys, newline).
+
+    ``kind`` names the artifact in the error (``bench``, ``hotspot``).
+    """
+    scrubbed = scrub_nonfinite(document)
+    problems = validate(scrubbed)
     if problems:
-        raise ReproError(
-            f"refusing to write invalid bench session {path}: "
-            + "; ".join(problems))
+        raise ReproError(f"refusing to write invalid {kind} file {path}: "
+                         + "; ".join(problems))
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(session, handle, indent=1, sort_keys=True)
+        json.dump(scrubbed, handle, indent=1, sort_keys=True)
         handle.write("\n")
+
+
+def read_json(path: Path, validate: Validator, kind: str) -> Dict[str, Any]:
+    """Read one JSON object and schema-check it; ReproError otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except OSError as exc:
+        raise ReproError(f"cannot read {kind} file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ReproError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ReproError(f"{path} is not a JSON object")
+    problems = validate(document)
+    if problems:
+        raise ReproError(f"{path} fails the {kind} schema: "
+                         + "; ".join(problems))
+    return document
+
+
+def write_session(path: Path, session: BenchSession) -> None:
+    """Write one ``BENCH_*.json`` session document."""
+    write_json(path, session, validate_session, "bench")
 
 
 def load_session(path: Path) -> BenchSession:
     """Read and schema-check one ``BENCH_*.json``."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            session = json.load(handle)
-    except OSError as exc:
-        raise ReproError(f"cannot read bench session {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(session, dict):
-        raise ReproError(f"{path} is not a JSON object")
-    problems = validate_session(session)
-    if problems:
-        raise ReproError(f"{path} fails the bench schema: "
-                         + "; ".join(problems))
-    return session
+    return read_json(path, validate_session, "bench")

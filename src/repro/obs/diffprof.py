@@ -1,9 +1,8 @@
-"""Differential profiling: where a wall-time delta actually went.
+"""Differential profiling: the pairwise perf judge.
 
-The pairwise bench comparator (``tools.perfreport compare``) can say
-*that* a session regressed; this module says *where*.  It aligns two
-performance recordings and attributes the delta per function / span
-path, in three input flavors sharing one result shape:
+It aligns two performance recordings, says *whether* the newer one
+regressed, and attributes the delta per function / span path, in
+three input flavors sharing one result shape:
 
 * **span-tree diff** (:func:`diff_profiles`) — two
   :class:`repro.obs.perf.Profile` trees from telemetry JSONL traces,
@@ -18,7 +17,9 @@ path, in three input flavors sharing one result shape:
   sampled function key over estimated self/cum seconds.
 * **bench-session diff** (:func:`diff_bench_sessions`) — two
   ``BENCH_<seq>.json`` sessions, aligned by bench node id over wall
-  time (the same join the comparator uses, rendered as attribution).
+  time.  This is the repo's pairwise bench regression gate (``python
+  -m tools.perfreport diff BASE NEW``, ``make bench-compare BASE=
+  NEW=``, the CI ``bench-smoke`` job).
 
 **Differential flamegraphs** ride along: :func:`subtract_folded` takes
 two folded-stack exports (``a;b;c <usec>`` lines, as produced by
@@ -28,11 +29,16 @@ two-column ``stack base_usec new_usec`` format that Brendan Gregg's
 so ``perfreport diff --folded out.folded`` shows where an optimization
 *moved* time, for traces and campaigns alike.
 
-Classification is noise-tolerant with the same defaults as the bench
-gate: a path must grow beyond ``1 + tolerance`` (default 25%) and sit
-above the runtime floor (default 5 ms) on at least one side to count.
-A diff with at least one ``grown`` path carries ``exit_code`` 1 — the
-CLI (``python -m tools.perfreport diff``) forwards it.
+Classification is noise-tolerant with the shared perf-judge defaults
+(:data:`repro.obs.bench.DEFAULT_TOLERANCE`,
+:data:`~repro.obs.bench.DEFAULT_MIN_RUNTIME_S`): a path must grow
+beyond ``1 + tolerance`` (default 25%) and sit above the runtime floor
+(default 5 ms) on at least one side to count.  A diff with at least
+one ``grown`` path carries ``exit_code`` 1 — the CLI (``python -m
+tools.perfreport diff``) forwards it.  Bench-session diffs also carry
+the environment drift between the two fingerprints
+(:func:`repro.obs.bench.environment_drift`), because a slower python
+or fewer CPUs explains a step better than any diff.
 
 This module is a replay-critical sink for flatlint FT007: its reports
 must be byte-identical across replays, so no wall clock or RNG may
@@ -45,12 +51,15 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.obs.bench import (
+    DEFAULT_MIN_RUNTIME_S,
+    DEFAULT_TOLERANCE,
+    environment_drift,
+)
 from repro.obs.perf import Profile
 from repro.obs.trace import event
 
 __all__ = [
-    "DEFAULT_MIN_RUNTIME_S",
-    "DEFAULT_TOLERANCE",
     "PathDelta",
     "ProfileDiff",
     "diff_bench_sessions",
@@ -62,13 +71,6 @@ __all__ = [
     "render_text",
     "subtract_folded",
 ]
-
-#: Relative growth tolerated before a path counts as ``grown``; mirrors
-#: the pairwise bench comparator so the two gates agree on "noise".
-DEFAULT_TOLERANCE = 0.25
-
-#: Paths under this on both sides are ``below-floor`` and never judged.
-DEFAULT_MIN_RUNTIME_S = 0.005
 
 
 @dataclass
@@ -123,6 +125,8 @@ class ProfileDiff:
     #: (name, cum_s) along each recording's critical path (traces only).
     critical_base: List[Tuple[str, float]] = field(default_factory=list)
     critical_new: List[Tuple[str, float]] = field(default_factory=list)
+    #: Fingerprint changes between the two bench sessions.
+    environment_drift: List[str] = field(default_factory=list)
 
     @property
     def total_delta_s(self) -> float:
@@ -331,6 +335,7 @@ def diff_bench_sessions(
         base_total_s=sum(s.cum_s for s in base_stats.values()),
         new_total_s=sum(s.cum_s for s in new_stats.values()),
         deltas=deltas,
+        environment_drift=environment_drift(base, new),
     )
 
 
@@ -387,6 +392,8 @@ def render_text(diff: ProfileDiff, top: int = 30) -> str:
         f"total {diff.base_total_s:.4f}s -> {diff.new_total_s:.4f}s "
         f"({diff.total_delta_s:+.4f}s{total_ratio})",
     ]
+    lines += [f"! environment drift: {note}"
+              for note in diff.environment_drift]
     has_mem = any(d.mem_delta_kb is not None for d in diff.deltas)
     label = "path" if diff.kind == "trace" else (
         "function" if diff.kind == "hotspots" else "bench")
@@ -453,6 +460,7 @@ def render_json(diff: ProfileDiff) -> Dict[str, object]:
             {"name": name, "cum_s": cum} for name, cum in diff.critical_base],
         "critical_new": [
             {"name": name, "cum_s": cum} for name, cum in diff.critical_new],
+        "environment_drift": list(diff.environment_drift),
         "deltas": [
             {
                 "path": d.path,

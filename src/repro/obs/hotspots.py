@@ -11,34 +11,33 @@ The document (schema :data:`SCHEMA`) carries the environment
 fingerprint reused from :mod:`repro.obs.bench`, per-stage wall time and
 sample counts, the top functions ranked by self time with the span
 paths they ran under, and the raw folded stacks so the flame graph
-round-trips through ``python -m tools.perfreport hotspots``.  Files
-are written NaN-scrubbed with sorted keys, so identical campaigns
-produce structurally identical documents.
+round-trips through ``python -m tools.perfreport hotspots``.
 
-Sequencing follows the BENCH convention: numbered files form the
-trajectory; free-form tags (``HOTSPOTS_smoke.json``) are ignored by
-discovery and never claim a sequence slot.
+Files go through the bench session-file layer
+(:func:`repro.obs.bench.write_json` / :func:`~repro.obs.bench.read_json`):
+NaN-scrubbed with sorted keys, so identical campaigns produce
+structurally identical documents.  Sequencing is the BENCH one under
+the :data:`PREFIX` prefix (:func:`repro.obs.bench.session_paths`):
+numbered files form the trajectory; free-form tags
+(``HOTSPOTS_smoke.json``) are ignored by discovery and never claim a
+sequence slot.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import re
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.errors import ReproError
-from repro.obs.bench import environment_fingerprint, repo_root
+from repro.obs.bench import environment_fingerprint, read_json, write_json
 from repro.obs.sampler import SampleProfile
 
 __all__ = [
+    "PREFIX",
     "SCHEMA",
     "build_document",
-    "hotspot_paths",
     "load_document",
-    "next_hotspots_path",
     "render_document",
     "validate_document",
     "write_document",
@@ -47,42 +46,14 @@ __all__ = [
 #: Document schema identifier; bump the suffix on breaking change.
 SCHEMA = "flattree.hotspots/1"
 
-#: Repo-root artifacts: ``HOTSPOTS_<seq>.json``; free-form tags such as
-#: ``HOTSPOTS_smoke.json`` are throwaway and skip sequence discovery.
-_HOTSPOT_SEQ = re.compile(r"^HOTSPOTS_(\d+)\.json$")
+#: File prefix of the repo-root artifacts: ``HOTSPOTS_<seq>.json``.
+PREFIX = "HOTSPOTS"
 
 #: A folded-stack line: frames joined by ``;`` then an integer weight.
 _FOLDED_LINE = re.compile(r"^\S.* \d+$")
 
 #: A full decoded hotspot document.
 HotspotDocument = Dict[str, Any]
-
-
-def hotspot_paths(root: Path) -> List[Path]:
-    """Existing numbered campaign artifacts under ``root``, oldest first."""
-    found = [(int(m.group(1)), path)
-             for path in root.glob("HOTSPOTS_*.json")
-             if (m := _HOTSPOT_SEQ.match(path.name)) is not None]
-    return [path for _, path in sorted(found)]
-
-
-def next_hotspots_path(root: Path) -> Path:
-    """The next free ``HOTSPOTS_<seq>.json`` slot under ``root``."""
-    taken = [int(m.group(1))
-             for path in root.glob("HOTSPOTS_*.json")
-             if (m := _HOTSPOT_SEQ.match(path.name)) is not None]
-    return root / f"HOTSPOTS_{max(taken, default=0) + 1}.json"
-
-
-def _scrub(value: Any) -> Any:
-    """Replace non-finite floats with ``None`` (JSON has no NaN)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {key: _scrub(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_scrub(item) for item in value]
-    return value
 
 
 def build_document(
@@ -212,34 +183,12 @@ def validate_document(document: Mapping[str, object]) -> List[str]:
 
 def write_document(path: Path, document: HotspotDocument) -> None:
     """Write one artifact (NaN-scrubbed, sorted keys, trailing newline)."""
-    scrubbed = _scrub(document)
-    problems = validate_document(scrubbed)
-    if problems:
-        raise ReproError(
-            f"refusing to write invalid hotspot document {path}: "
-            + "; ".join(problems))
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(scrubbed, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    write_json(path, document, validate_document, "hotspot")
 
 
 def load_document(path: Path) -> HotspotDocument:
     """Read and schema-check one ``HOTSPOTS_*.json``."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise ReproError(f"cannot read hotspot document {path}: {exc}") \
-            from exc
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise ReproError(f"{path} is not a JSON object")
-    problems = validate_document(document)
-    if problems:
-        raise ReproError(f"{path} fails the hotspot schema: "
-                         + "; ".join(problems))
-    return document
+    return read_json(path, validate_document, "hotspot")
 
 
 def render_document(document: Mapping[str, Any], top: int = 20) -> str:

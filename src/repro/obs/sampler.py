@@ -16,7 +16,8 @@ Costs and caveats:
 * Overhead is O(stack depth) per sample on the *sampler* thread; the
   target thread pays nothing beyond GIL handoffs.  At the default
   97 Hz the flowsim benchmark gate holds total overhead under 5 %
-  (``benchmarks/test_bench_sampler.py``).
+  plus a 10 ms jitter floor, about 12 % at its ~0.13 s baseline
+  (``benchmarks/test_bench_overhead.py``).
 * The default rate is a prime (97 Hz) so periodic program phases do
   not alias against the sampling clock.
 * Sampling is statistical: functions cheaper than a few sample

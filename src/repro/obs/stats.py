@@ -7,14 +7,15 @@ network monitor's derived link statistics, so the three subsystems can
 never drift apart on percentile semantics.  The streaming primitives
 (:class:`Ewma`, :class:`WindowedQuantile`) back the health plane's
 per-series rollups (:mod:`repro.health`): O(1) state per series, no
-allocation on the update path.
+allocation on the update path.  :func:`scrub_nonfinite` is the one
+NaN scrub every durable JSON artifact goes through.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Dict, Iterable, Sequence, Tuple
+from typing import Any, Deque, Dict, Iterable, Sequence, Tuple
 
 from repro.errors import ReproError
 
@@ -163,3 +164,19 @@ def gini(values: Iterable[float]) -> float:
     if total == 0:
         return 0.0
     return weighted / (n * total)
+
+
+def scrub_nonfinite(value: Any) -> Any:
+    """Replace NaN/inf floats with ``None``, through dicts and sequences.
+
+    JSON has no NaN, so bench sessions, hotspot documents, health
+    reports and remediation ledgers all pass through this before they
+    are written: the files stay standard JSON and diff cleanly.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: scrub_nonfinite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [scrub_nonfinite(item) for item in value]
+    return value

@@ -1,8 +1,8 @@
 """Trajectory-aware regression analytics over durable perf sessions.
 
-``tools.perfreport compare`` judges the newest two ``BENCH_*.json``
-sessions pairwise: one noisy recording can flip the gate either way.
-This module ingests the *whole* recorded trajectory — every numbered
+``tools.perfreport diff`` judges two ``BENCH_*.json`` sessions
+pairwise: one noisy recording can flip the gate either way.  This
+module ingests the *whole* recorded trajectory — every numbered
 ``BENCH_<seq>.json`` and ``HOTSPOTS_<seq>.json`` at the repo root —
 into per-metric time series and judges the newest point against a
 noise model fitted to its own history:
@@ -15,19 +15,21 @@ noise model fitted to its own history:
 
   ``1.4826 * MAD`` estimates a Gaussian sigma robustly, so one
   historical outlier cannot widen the band the way a stddev would;
-  the relative floor (default 25%, matching the pairwise gate) keeps
-  near-constant series from producing a zero-width band, and the
-  absolute floor (default 5 ms) mutes timer jitter on micro-benches.
+  the relative floor (default 25%, the pairwise gate's tolerance
+  :data:`repro.obs.bench.DEFAULT_TOLERANCE`) keeps near-constant series
+  from producing a zero-width band, and the absolute floor (default
+  5 ms, :data:`repro.obs.bench.DEFAULT_MIN_RUNTIME_S`) mutes timer
+  jitter on micro-benches.
 * **step detection** — the newest value outside the band is a
   ``step-up`` (regression; drives ``exit_code`` 1) or ``step-down``
   (improvement; reported, never fails).  Every *historical* point is
   also scanned against its own preceding window so the renderers can
   mark where past steps landed in the series.
 
-Surfaces: ``python -m tools.perfreport trend`` (text / JSON /
-markdown) and ``flattree trend``; ``make bench-compare`` gates CI on
-this instead of the newest-two compare.  A regression must therefore
-exceed the *noise band*, not merely the 25% pairwise tolerance.
+Surface: ``python -m tools.perfreport trend`` (text / JSON /
+markdown); ``make bench-compare`` gates CI on this instead of the
+pairwise diff.  A regression must therefore exceed the *noise band*,
+not merely the 25% pairwise tolerance.
 
 Like the other durable-artifact writers this module is a
 replay-critical flatlint FT007 sink: reports must be byte-identical
@@ -45,8 +47,6 @@ from repro.obs import bench, hotspots
 from repro.obs.trace import event
 
 __all__ = [
-    "DEFAULT_MIN_RUNTIME_S",
-    "DEFAULT_REL_FLOOR",
     "DEFAULT_SIGMAS",
     "DEFAULT_WINDOW",
     "MAD_SCALE",
@@ -70,13 +70,6 @@ DEFAULT_WINDOW = 8
 
 #: Band half-width in robust sigmas; 4 keeps honest noise inside.
 DEFAULT_SIGMAS = 4.0
-
-#: Relative band floor — matches the pairwise comparator's tolerance
-#: so the trajectory gate is never *stricter* than the gate it replaces.
-DEFAULT_REL_FLOOR = 0.25
-
-#: Absolute band floor in seconds; sub-floor deltas are timer jitter.
-DEFAULT_MIN_RUNTIME_S = 0.005
 
 #: MAD -> sigma for Gaussian noise (1 / Phi^-1(3/4)).
 MAD_SCALE = 1.4826
@@ -198,8 +191,8 @@ def analyze_series(
     points: Sequence[SeriesPoint],
     window: int = DEFAULT_WINDOW,
     sigmas: float = DEFAULT_SIGMAS,
-    rel_floor: float = DEFAULT_REL_FLOOR,
-    min_runtime_s: float = DEFAULT_MIN_RUNTIME_S,
+    rel_floor: float = bench.DEFAULT_TOLERANCE,
+    min_runtime_s: float = bench.DEFAULT_MIN_RUNTIME_S,
 ) -> MetricTrend:
     """Judge one metric's newest point against its trailing history.
 
@@ -243,11 +236,6 @@ def analyze_series(
 # trajectory ingestion
 # ----------------------------------------------------------------------
 
-def _seq_of(path: Path) -> int:
-    digits = "".join(ch for ch in path.stem if ch.isdigit())
-    return int(digits) if digits else 0
-
-
 def bench_series(
     sessions: Sequence[Tuple[Path, Mapping[str, object]]],
 ) -> Dict[str, List[SeriesPoint]]:
@@ -265,7 +253,8 @@ def bench_series(
             if not isinstance(wall, (int, float)) or isinstance(wall, bool):
                 continue
             series.setdefault(f"bench:{key}", []).append(SeriesPoint(
-                seq=_seq_of(path), label=path.name, value=float(wall)))
+                seq=bench.session_seq(path) or 0, label=path.name,
+                value=float(wall)))
     return series
 
 
@@ -289,38 +278,17 @@ def hotspot_series(
                 continue
             series.setdefault(
                 f"hotspots:stage.{name}.wall_s", []).append(SeriesPoint(
-                    seq=_seq_of(path), label=path.name, value=float(wall)))
+                    seq=bench.session_seq(path) or 0, label=path.name,
+                    value=float(wall)))
     return series
-
-
-#: Fingerprint keys whose drift makes adjacent sessions incomparable.
-_DRIFT_KEYS = ("python", "implementation", "machine", "cpu_count",
-               "networkx", "numpy", "scipy")
-
-
-def _environment_drift(
-    sessions: Sequence[Tuple[Path, Mapping[str, object]]],
-) -> List[str]:
-    notes: List[str] = []
-    for (prev_path, prev), (cur_path, cur) in zip(sessions, sessions[1:]):
-        prev_env = prev.get("environment")
-        cur_env = cur.get("environment")
-        if not isinstance(prev_env, dict) or not isinstance(cur_env, dict):
-            continue
-        for key in _DRIFT_KEYS:
-            if prev_env.get(key) != cur_env.get(key):
-                notes.append(
-                    f"{prev_path.name} -> {cur_path.name}: {key} changed "
-                    f"{prev_env.get(key)!r} -> {cur_env.get(key)!r}")
-    return notes
 
 
 def analyze_trajectory(
     root: Optional[Path] = None,
     window: int = DEFAULT_WINDOW,
     sigmas: float = DEFAULT_SIGMAS,
-    rel_floor: float = DEFAULT_REL_FLOOR,
-    min_runtime_s: float = DEFAULT_MIN_RUNTIME_S,
+    rel_floor: float = bench.DEFAULT_TOLERANCE,
+    min_runtime_s: float = bench.DEFAULT_MIN_RUNTIME_S,
 ) -> TrendReport:
     """Ingest every numbered session under ``root`` and judge the newest.
 
@@ -332,7 +300,7 @@ def analyze_trajectory(
     report = TrendReport(root=str(root), window=window, sigmas=sigmas,
                          rel_floor=rel_floor, min_runtime_s=min_runtime_s)
     bench_sessions: List[Tuple[Path, Mapping[str, object]]] = []
-    for path in bench.bench_paths(root):
+    for path in bench.session_paths(root):
         try:
             bench_sessions.append((path, bench.load_session(path)))
         except ReproError as exc:
@@ -340,7 +308,7 @@ def analyze_trajectory(
             continue
         report.sessions.append(path.name)
     hotspot_documents: List[Tuple[Path, Mapping[str, object]]] = []
-    for path in hotspots.hotspot_paths(root):
+    for path in bench.session_paths(root, hotspots.PREFIX):
         try:
             hotspot_documents.append((path, hotspots.load_document(path)))
         except ReproError as exc:
@@ -355,7 +323,11 @@ def analyze_trajectory(
                        min_runtime_s=min_runtime_s)
         for metric in sorted(all_series)
     ]
-    report.environment_drift.extend(_environment_drift(bench_sessions))
+    for (prev_path, prev), (cur_path, cur) in zip(bench_sessions,
+                                                  bench_sessions[1:]):
+        report.environment_drift.extend(
+            f"{prev_path.name} -> {cur_path.name}: {note}"
+            for note in bench.environment_drift(prev, cur))
     return report
 
 

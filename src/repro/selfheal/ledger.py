@@ -17,9 +17,10 @@ newline.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Tuple
+
+from repro.obs import scrub_nonfinite
 
 SCHEMA = "flattree.selfheal/1"
 
@@ -33,17 +34,6 @@ STATUSES: Tuple[str, ...] = (
     STATUS_PLANNED, STATUS_STARTED, STATUS_SUCCEEDED,
     STATUS_FAILED, STATUS_SUPPRESSED,
 )
-
-
-def _scrub(value: Any) -> Any:
-    """NaN/inf are not JSON; fold them to None like the health report."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _scrub(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_scrub(v) for v in value]
-    return value
 
 
 @dataclass(frozen=True)
@@ -109,7 +99,7 @@ class RemediationLedger:
     def as_dict(self) -> Dict[str, Any]:
         return {
             "schema": SCHEMA,
-            "entries": [_scrub(asdict(e)) for e in self.entries],
+            "entries": [scrub_nonfinite(asdict(e)) for e in self.entries],
             "counts": self.counts(),
         }
 

@@ -1,4 +1,4 @@
-"""Sequence discovery for durable BENCH_<seq>.json sessions."""
+"""Sequence discovery for the numbered BENCH_/HOTSPOTS_ session files."""
 
 from __future__ import annotations
 
@@ -15,42 +15,61 @@ def touch(tmp_path, name):
 
 
 class TestBenchPaths:
+    """Discovery under ``BENCH_``; the subclass reruns it for HOTSPOTS_."""
+
+    prefix = "BENCH"
+
+    def names(self, tmp_path):
+        return [p.name for p in bench.session_paths(tmp_path, self.prefix)]
+
     def test_empty_directory(self, tmp_path):
-        assert bench.bench_paths(tmp_path) == []
+        assert bench.session_paths(tmp_path, self.prefix) == []
 
     def test_sorted_numerically_not_lexically(self, tmp_path):
-        for name in ("BENCH_10.json", "BENCH_2.json", "BENCH_1.json"):
-            touch(tmp_path, name)
-        names = [p.name for p in bench.bench_paths(tmp_path)]
-        assert names == ["BENCH_1.json", "BENCH_2.json", "BENCH_10.json"]
+        for seq in (10, 2, 1):
+            touch(tmp_path, f"{self.prefix}_{seq}.json")
+        assert self.names(tmp_path) == [
+            f"{self.prefix}_{seq}.json" for seq in (1, 2, 10)]
 
     def test_gaps_in_the_sequence_survive(self, tmp_path):
-        touch(tmp_path, "BENCH_1.json")
-        touch(tmp_path, "BENCH_3.json")
-        names = [p.name for p in bench.bench_paths(tmp_path)]
-        assert names == ["BENCH_1.json", "BENCH_3.json"]
+        touch(tmp_path, f"{self.prefix}_1.json")
+        touch(tmp_path, f"{self.prefix}_3.json")
+        assert self.names(tmp_path) == [f"{self.prefix}_1.json",
+                                        f"{self.prefix}_3.json"]
 
     def test_free_form_tags_ignored(self, tmp_path):
-        touch(tmp_path, "BENCH_1.json")
-        touch(tmp_path, "BENCH_smoke.json")
-        touch(tmp_path, "BENCH_.json")
-        touch(tmp_path, "BENCH_1.json.bak")
-        names = [p.name for p in bench.bench_paths(tmp_path)]
-        assert names == ["BENCH_1.json"]
+        for name in ("1.json", "smoke.json", ".json", "1.json.bak"):
+            touch(tmp_path, f"{self.prefix}_{name}")
+        assert self.names(tmp_path) == [f"{self.prefix}_1.json"]
+
+
+class TestHotspotsPaths(TestBenchPaths):
+    prefix = "HOTSPOTS"
 
 
 class TestNextBenchPath:
+    """Next free ``BENCH_`` slot; the subclass reruns it for HOTSPOTS_."""
+
+    prefix = "BENCH"
+
+    def next_name(self, tmp_path):
+        return bench.next_session_path(tmp_path, self.prefix).name
+
     def test_first_slot_is_one(self, tmp_path):
-        assert bench.next_bench_path(tmp_path).name == "BENCH_1.json"
+        assert self.next_name(tmp_path) == f"{self.prefix}_1.json"
 
     def test_next_is_max_plus_one_even_with_gaps(self, tmp_path):
-        touch(tmp_path, "BENCH_1.json")
-        touch(tmp_path, "BENCH_3.json")
-        assert bench.next_bench_path(tmp_path).name == "BENCH_4.json"
+        touch(tmp_path, f"{self.prefix}_1.json")
+        touch(tmp_path, f"{self.prefix}_3.json")
+        assert self.next_name(tmp_path) == f"{self.prefix}_4.json"
 
     def test_tags_never_claim_a_slot(self, tmp_path):
-        touch(tmp_path, "BENCH_smoke.json")
-        assert bench.next_bench_path(tmp_path).name == "BENCH_1.json"
+        touch(tmp_path, f"{self.prefix}_smoke.json")
+        assert self.next_name(tmp_path) == f"{self.prefix}_1.json"
+
+
+class TestNextHotspotsPath(TestNextBenchPath):
+    prefix = "HOTSPOTS"
 
 
 class TestLoadSession:

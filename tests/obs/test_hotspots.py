@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.errors import ReproError
-from repro.obs import hotspots
+from repro.obs import bench, hotspots
 from repro.obs.sampler import SampleProfile
 
 
@@ -35,17 +35,24 @@ def make_document(tmp_path=None):
 
 
 class TestSequence:
+    """Both numbered prefixes share one root without sharing slots."""
+
     def test_discovery_ignores_tags_and_sorts(self, tmp_path):
-        for name in ("HOTSPOTS_2.json", "HOTSPOTS_1.json",
-                     "HOTSPOTS_smoke.json"):
-            touch(tmp_path, name)
-        names = [p.name for p in hotspots.hotspot_paths(tmp_path)]
-        assert names == ["HOTSPOTS_1.json", "HOTSPOTS_2.json"]
+        for prefix in ("BENCH", "HOTSPOTS"):
+            for name in ("2.json", "1.json", "smoke.json"):
+                touch(tmp_path, f"{prefix}_{name}")
+        for prefix in ("BENCH", "HOTSPOTS"):
+            names = [p.name for p in bench.session_paths(tmp_path, prefix)]
+            assert names == [f"{prefix}_1.json", f"{prefix}_2.json"]
 
     def test_next_free_slot(self, tmp_path):
-        assert hotspots.next_hotspots_path(tmp_path).name == "HOTSPOTS_1.json"
+        assert (bench.next_session_path(tmp_path, hotspots.PREFIX).name
+                == "HOTSPOTS_1.json")
         touch(tmp_path, "HOTSPOTS_3.json")
-        assert hotspots.next_hotspots_path(tmp_path).name == "HOTSPOTS_4.json"
+        touch(tmp_path, "BENCH_7.json")
+        assert (bench.next_session_path(tmp_path, hotspots.PREFIX).name
+                == "HOTSPOTS_4.json")
+        assert bench.next_session_path(tmp_path).name == "BENCH_8.json"
 
 
 class TestDocument:

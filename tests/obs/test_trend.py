@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.obs import trend
+from repro.obs import bench, trend
 
 
 def points(values, prefix="BENCH"):
@@ -65,8 +65,8 @@ class TestNoiseModel:
         # deviations sorted: .05 .05 .15 .35 -> median (0.05+0.15)/2 = 0.10
         mad = 0.10
         half = max(trend.DEFAULT_SIGMAS * trend.MAD_SCALE * mad,
-                   trend.DEFAULT_REL_FLOOR * median,
-                   trend.DEFAULT_MIN_RUNTIME_S)
+                   bench.DEFAULT_TOLERANCE * median,
+                   bench.DEFAULT_MIN_RUNTIME_S)
         assert result.median == pytest.approx(median)
         assert result.mad == pytest.approx(mad)
         assert result.band_high == pytest.approx(median + half)

@@ -257,7 +257,7 @@ class TestBenchCommand:
         assert "perf: span-tree profiler" in out
         assert "BENCH_*.json" in out
         assert "perfreport diff" in out
-        assert "flattree trend" in out
+        assert "perfreport trend" in out
 
     def test_bench_missing_dir_exits_two(self, capsys, tmp_path):
         code = main(["bench", "--benchmarks", str(tmp_path / "nope")])
@@ -290,45 +290,12 @@ class TestBenchCommand:
         assert entry["metrics"] == {}
         assert session["environment"]["python"]
 
-    def _write_trend_sessions(self, tmp_path, last_wall):
-        import json
-
-        environment = {
-            "python": "3.12.0", "implementation": "CPython",
-            "platform": "Linux-test", "machine": "x86_64", "cpu_count": 8,
-            "networkx": "3.3", "numpy": None, "scipy": None,
-            "repro": "1.0.0", "git_commit": None, "git_dirty": None,
-        }
-        walls = (0.50, 0.52, 0.48, last_wall)
-        for seq, wall in enumerate(walls, start=1):
-            session = {
-                "schema": 1, "label": "t", "ts": 1700000000.0 + seq,
-                "environment": environment,
-                "benchmarks": {"a.py::t": {
-                    "wall_s": wall, "mean_s": wall, "stddev_s": 0.0,
-                    "rounds": 1, "metrics": {}}},
-            }
-            (tmp_path / f"BENCH_{seq}.json").write_text(
-                json.dumps(session), encoding="utf-8")
-
-    def test_trend_flags_a_step_and_writes_the_report(self, capsys,
-                                                      tmp_path):
-        import json
-
-        self._write_trend_sessions(tmp_path, last_wall=5.0)
-        report = tmp_path / "TREND_REPORT.json"
-        code, out = run_cli(capsys, "trend", "--root", str(tmp_path),
-                            "--out", str(report))
-        assert code == 1
-        assert "step-up" in out
-        document = json.loads(report.read_text(encoding="utf-8"))
-        assert document["regressions"] == 1
-
-    def test_trend_flat_trajectory_exits_zero(self, capsys, tmp_path):
-        self._write_trend_sessions(tmp_path, last_wall=0.51)
-        code, out = run_cli(capsys, "trend", "--root", str(tmp_path))
-        assert code == 0
-        assert "0 regression(s)" in out
+    def test_trend_subcommand_is_gone(self, capsys):
+        # The trajectory gate has one front end: perfreport trend.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trend"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'trend'" in capsys.readouterr().err
 
 
 class TestTelemetry:

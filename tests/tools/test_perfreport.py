@@ -1,9 +1,10 @@
-"""Tests for the bench regression gate and perfreport CLI.
+"""Tests for the perfreport CLI and its pairwise bench gate.
 
-The comparator is the thing that keeps BENCH_*.json honest, so it is
-proven here against fixture sessions: a self-compare must pass, an
-injected 10x slowdown must fail with exit code 1, and schema garbage
-must exit 2 — the flatlint exit-code convention.
+Bench-kind ``perfreport diff`` (:func:`repro.obs.diffprof.diff_bench_sessions`)
+is the thing that keeps BENCH_*.json honest, so it is proven here
+against fixture sessions: a self-diff must pass, an injected 10x
+slowdown must fail with exit code 1, and schema garbage must exit 2 —
+the flatlint exit-code convention.
 """
 
 from __future__ import annotations
@@ -12,13 +13,7 @@ import json
 
 import pytest
 
-from tools.perfreport import (
-    DEFAULT_MIN_RUNTIME_S,
-    DEFAULT_TOLERANCE,
-    compare_sessions,
-    render_json,
-    render_text,
-)
+from repro.obs import bench, diffprof
 from tools.perfreport.__main__ import main
 
 
@@ -44,92 +39,105 @@ def make_session(walls, label="bench", **env_overrides):
     }
 
 
+def statuses(diff):
+    return {d.path: d.status for d in diff.deltas}
+
+
 class TestCompareSessions:
+    """The pairwise judge over two decoded bench sessions."""
+
     def test_self_compare_is_clean(self):
         session = make_session({"a.py::t1": 0.5, "a.py::t2": 1.25})
-        comparison = compare_sessions(session, session)
-        assert comparison.exit_code == 0
-        assert {d.status for d in comparison.deltas} == {"ok"}
-        assert comparison.environment_drift == []
+        diff = diffprof.diff_bench_sessions(session, session)
+        assert diff.exit_code == 0
+        assert set(statuses(diff).values()) == {"steady"}
+        assert diff.environment_drift == []
 
     def test_injected_10x_slowdown_is_a_regression(self):
         base = make_session({"a.py::t": 0.5})
         slow = make_session({"a.py::t": 5.0})
-        comparison = compare_sessions(base, slow)
-        assert [d.status for d in comparison.deltas] == ["regression"]
-        assert comparison.deltas[0].ratio == pytest.approx(10.0)
-        assert comparison.exit_code == 1
+        diff = diffprof.diff_bench_sessions(base, slow)
+        assert statuses(diff) == {"a.py::t": "grown"}
+        assert diff.deltas[0].ratio == pytest.approx(10.0)
+        assert diff.exit_code == 1
 
     def test_below_floor_never_judged(self):
         base = make_session({"a.py::t": 0.0001})
         new = make_session({"a.py::t": 0.004})  # 40x, but both < 5 ms
-        comparison = compare_sessions(base, new)
-        assert [d.status for d in comparison.deltas] == ["below-floor"]
-        assert comparison.exit_code == 0
+        diff = diffprof.diff_bench_sessions(base, new)
+        assert statuses(diff) == {"a.py::t": "below-floor"}
+        assert diff.exit_code == 0
 
     def test_floor_applies_only_when_both_sides_are_under(self):
         base = make_session({"a.py::t": 0.001})
         new = make_session({"a.py::t": 0.5})  # new side is well over
-        comparison = compare_sessions(base, new)
-        assert [d.status for d in comparison.deltas] == ["regression"]
+        diff = diffprof.diff_bench_sessions(base, new)
+        assert statuses(diff) == {"a.py::t": "grown"}
 
     def test_added_and_removed(self):
         base = make_session({"old.py::t": 0.5})
         new = make_session({"new.py::t": 0.5})
-        statuses = {d.key: d.status
-                    for d in compare_sessions(base, new).deltas}
-        assert statuses == {"new.py::t": "added", "old.py::t": "removed"}
+        diff = diffprof.diff_bench_sessions(base, new)
+        assert statuses(diff) == {"new.py::t": "new", "old.py::t": "gone"}
+        assert diff.exit_code == 0
 
     def test_improvement_does_not_fail_the_gate(self):
-        comparison = compare_sessions(make_session({"a.py::t": 1.0}),
-                                      make_session({"a.py::t": 0.5}))
-        assert [d.status for d in comparison.deltas] == ["improvement"]
-        assert comparison.exit_code == 0
+        diff = diffprof.diff_bench_sessions(make_session({"a.py::t": 1.0}),
+                                            make_session({"a.py::t": 0.5}))
+        assert statuses(diff) == {"a.py::t": "shrunk"}
+        assert diff.exit_code == 0
 
     def test_within_default_tolerance_is_ok(self):
-        comparison = compare_sessions(make_session({"a.py::t": 1.0}),
-                                      make_session({"a.py::t": 1.2}))
-        assert [d.status for d in comparison.deltas] == ["ok"]
+        diff = diffprof.diff_bench_sessions(make_session({"a.py::t": 1.0}),
+                                            make_session({"a.py::t": 1.2}))
+        assert statuses(diff) == {"a.py::t": "steady"}
 
     def test_custom_tolerance_tightens_the_gate(self):
-        comparison = compare_sessions(
+        diff = diffprof.diff_bench_sessions(
             make_session({"a.py::t": 1.0}), make_session({"a.py::t": 1.2}),
             tolerance=0.10)
-        assert [d.status for d in comparison.deltas] == ["regression"]
+        assert statuses(diff) == {"a.py::t": "grown"}
 
     def test_environment_drift_reported(self):
         base = make_session({"a.py::t": 1.0})
         new = make_session({"a.py::t": 1.0}, python="3.12.1", cpu_count=4)
-        drift = "\n".join(compare_sessions(base, new).environment_drift)
-        assert "python" in drift and "cpu_count" in drift
-        assert "3.12.1" in drift
+        drift = diffprof.diff_bench_sessions(base, new).environment_drift
+        assert drift == ["python changed '3.11.7' -> '3.12.1'",
+                         "cpu_count changed 8 -> 4"]
 
     def test_defaults_are_documented_values(self):
-        assert DEFAULT_TOLERANCE == 0.25
-        assert DEFAULT_MIN_RUNTIME_S == 0.005
+        assert bench.DEFAULT_TOLERANCE == 0.25
+        assert bench.DEFAULT_MIN_RUNTIME_S == 0.005
+        session = make_session({"a.py::t": 1.0})
+        diff = diffprof.diff_bench_sessions(session, session)
+        assert (diff.tolerance, diff.min_runtime_s) == (0.25, 0.005)
 
 
 class TestRenderers:
+    """Text and JSON renderings of a bench diff."""
+
     def test_text_orders_regressions_first_and_summarizes(self):
         base = make_session({"a.py::fast": 0.5, "b.py::slow": 0.5})
         new = make_session({"a.py::fast": 0.5, "b.py::slow": 5.0},
                            python="3.12.0")
-        comparison = compare_sessions(base, new)
-        text = render_text(comparison)
+        text = diffprof.render_text(diffprof.diff_bench_sessions(base, new))
         lines = text.splitlines()
-        assert "environment drift" in text
+        assert ("! environment drift: python changed '3.11.7' -> '3.12.0'"
+                in lines)
         first_status_line = next(l for l in lines if l.startswith(
-            ("regression", "ok")))
-        assert first_status_line.startswith("regression")
-        assert "1 regression(s) across 2 judged bench(es)" in lines[-1]
+            ("grown", "steady")))
+        assert first_status_line.startswith("grown")
+        assert lines[-1] == "1 grown, 0 shrunk across 2 aligned bench(s)"
 
     def test_json_shape(self):
-        comparison = compare_sessions(make_session({"a.py::t": 0.5}),
-                                      make_session({"a.py::t": 5.0}))
-        document = render_json(comparison)
-        assert document["regressions"] == 1
+        diff = diffprof.diff_bench_sessions(make_session({"a.py::t": 0.5}),
+                                            make_session({"a.py::t": 5.0}))
+        document = diffprof.render_json(diff)
+        assert document["kind"] == "bench"
+        assert document["grown"] == 1
+        assert document["environment_drift"] == []
         (delta,) = document["deltas"]
-        assert delta["status"] == "regression"
+        assert delta["status"] == "grown"
         assert delta["ratio"] == pytest.approx(10.0)
         json.dumps(document)  # must be JSON-serializable as-is
 
@@ -141,44 +149,56 @@ def write_session(tmp_path, name, session):
 
 
 class TestCompareCli:
+    """``perfreport diff BASE NEW`` over two bench sessions."""
+
     def test_self_compare_exits_zero(self, tmp_path, capsys):
         path = write_session(tmp_path, "BENCH_1.json",
                              make_session({"a.py::t": 0.5}))
-        assert main(["compare", path, path]) == 0
-        assert "0 regression(s)" in capsys.readouterr().out
+        assert main(["diff", path, path]) == 0
+        out = capsys.readouterr().out
+        assert "0 grown" in out
+        assert "environment drift" not in out
 
     def test_regression_exits_one(self, tmp_path, capsys):
         base = write_session(tmp_path, "BENCH_1.json",
                              make_session({"a.py::t": 0.5}))
         slow = write_session(tmp_path, "BENCH_2.json",
                              make_session({"a.py::t": 5.0}))
-        assert main(["compare", base, slow]) == 1
-        assert "regression" in capsys.readouterr().out
+        assert main(["diff", base, slow]) == 1
+        assert "grown" in capsys.readouterr().out
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         path = write_session(tmp_path, "BENCH_1.json",
                              make_session({"a.py::t": 0.5}))
-        assert main(["compare", str(tmp_path / "nope.json"), path]) == 2
+        assert main(["diff", str(tmp_path / "nope.json"), path]) == 2
         assert "perfreport:" in capsys.readouterr().err
 
     def test_schema_violation_exits_two(self, tmp_path, capsys):
         good = write_session(tmp_path, "BENCH_1.json",
                              make_session({"a.py::t": 0.5}))
         bad = tmp_path / "BENCH_bad.json"
-        bad.write_text('{"schema": 99}\n', encoding="utf-8")
-        assert main(["compare", good, str(bad)]) == 2
+        bad.write_text('{"schema": 99, "benchmarks": {}}\n',
+                       encoding="utf-8")
+        assert main(["diff", good, str(bad)]) == 2
         assert "schema" in capsys.readouterr().err
 
     def test_json_format_parses(self, tmp_path, capsys):
         path = write_session(tmp_path, "BENCH_1.json",
                              make_session({"a.py::t": 0.5}))
-        assert main(["compare", path, path, "--format", "json"]) == 0
+        assert main(["diff", path, path, "--format", "json"]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["regressions"] == 0
+        assert document["grown"] == 0
+        assert document["environment_drift"] == []
 
     def test_no_subcommand_exits_two(self, capsys):
         assert main([]) == 2
-        assert "compare" in capsys.readouterr().out
+        assert "diff" in capsys.readouterr().out
+
+    def test_compare_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'compare'" in capsys.readouterr().err
 
 
 def write_trace(tmp_path):
@@ -235,6 +255,8 @@ class TestProfileCli:
 
 
 class TestCompareAutoSelect:
+    """``perfreport diff`` with no paths: the two newest sessions."""
+
     def test_picks_two_newest_numbered_sessions(self, tmp_path, capsys):
         write_session(tmp_path, "BENCH_1.json",
                       make_session({"a.py::t": 0.5}))
@@ -244,28 +266,28 @@ class TestCompareAutoSelect:
                       make_session({"a.py::t": 0.5}))
         write_session(tmp_path, "BENCH_smoke.json",
                       make_session({"a.py::t": 99.0}))
-        assert main(["compare", "--root", str(tmp_path)]) == 0
+        assert main(["diff", "--root", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "auto-selected BENCH_2.json (base) vs BENCH_10.json" in out
-        assert "0 regression(s)" in out
+        assert "0 grown" in out
 
     def test_fewer_than_two_sessions_exits_zero_with_message(
             self, tmp_path, capsys):
         write_session(tmp_path, "BENCH_1.json",
                       make_session({"a.py::t": 0.5}))
-        assert main(["compare", "--root", str(tmp_path)]) == 0
+        assert main(["diff", "--root", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "found 1 BENCH_<seq>.json" in out
         assert "flattree bench" in out
 
     def test_empty_root_exits_zero(self, tmp_path, capsys):
-        assert main(["compare", "--root", str(tmp_path)]) == 0
+        assert main(["diff", "--root", str(tmp_path)]) == 0
         assert "found 0" in capsys.readouterr().out
 
     def test_single_positional_is_a_usage_error(self, tmp_path, capsys):
         path = write_session(tmp_path, "BENCH_1.json",
                              make_session({"a.py::t": 0.5}))
-        assert main(["compare", path]) == 2
+        assert main(["diff", path]) == 2
         assert "both BASE and NEW" in capsys.readouterr().err
 
     def test_auto_selected_regression_still_gates(self, tmp_path, capsys):
@@ -273,8 +295,8 @@ class TestCompareAutoSelect:
                       make_session({"a.py::t": 0.5}))
         write_session(tmp_path, "BENCH_2.json",
                       make_session({"a.py::t": 5.0}))
-        assert main(["compare", "--root", str(tmp_path)]) == 1
-        assert "regression" in capsys.readouterr().out
+        assert main(["diff", "--root", str(tmp_path)]) == 1
+        assert "grown" in capsys.readouterr().out
 
 
 def write_hotspots(tmp_path):
@@ -333,11 +355,11 @@ class TestAutoSelectNotices:
                                                       capsys):
         write_session(tmp_path, "BENCH_7.json",
                       make_session({"a.py::t": 0.5}))
-        assert main(["compare", "--root", str(tmp_path)]) == 0
+        assert main(["diff", "--root", str(tmp_path)]) == 0
         assert "existing: BENCH_7.json" in capsys.readouterr().out
 
     def test_empty_root_message_says_none(self, tmp_path, capsys):
-        assert main(["compare", "--root", str(tmp_path)]) == 0
+        assert main(["diff", "--root", str(tmp_path)]) == 0
         assert "existing: none" in capsys.readouterr().out
 
     def test_gapped_sequence_is_flagged_with_ids(self, tmp_path, capsys):
@@ -347,7 +369,7 @@ class TestAutoSelectNotices:
                       make_session({"a.py::t": 0.5}))
         write_session(tmp_path, "BENCH_5.json",
                       make_session({"a.py::t": 0.5}))
-        assert main(["compare", "--root", str(tmp_path)]) == 0
+        assert main(["diff", "--root", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "auto-selected BENCH_2.json (base) vs BENCH_5.json" in out
         assert "missing seq 3, 4" in out
@@ -358,7 +380,7 @@ class TestAutoSelectNotices:
                       make_session({"a.py::t": 0.5}))
         write_session(tmp_path, "BENCH_2.json",
                       make_session({"a.py::t": 0.5}))
-        assert main(["compare", "--root", str(tmp_path)]) == 0
+        assert main(["diff", "--root", str(tmp_path)]) == 0
         assert "missing seq" not in capsys.readouterr().out
 
 

@@ -1,212 +1,22 @@
-"""perfreport — the benchmark regression gate over BENCH_*.json.
+"""perfreport — command-line front end of the perf-analysis layer.
 
-The bench runner (``flattree bench``, :mod:`repro.obs.bench`) records
-durable per-session wall times; this package judges two sessions
-against each other with noise tolerance:
+``python -m tools.perfreport`` reads the repo's durable perf records
+and judges them; the judging lives in the library, one module per
+question:
 
-* **relative tolerance** — a bench only counts as a regression when
-  ``new / base`` exceeds ``1 + tolerance`` (default 25%, far above
-  timer jitter on seconds-long benches);
-* **min-runtime floor** — benches where *both* sides run under the
-  floor (default 5 ms) are never judged: sub-millisecond timings are
-  dominated by scheduler noise, not code;
-* environment fingerprints are diffed and reported, because a slower
-  python or fewer CPUs explains a "regression" better than any diff.
+* ``diff BASE NEW`` — the pairwise gate (:mod:`repro.obs.diffprof`):
+  two ``BENCH_*.json`` sessions, ``HOTSPOTS_*.json`` campaigns or
+  telemetry traces, with a 25% tolerance, a 5 ms floor, environment
+  drift notes and per-path attribution;
+* ``trend`` — the trajectory gate (:mod:`repro.obs.trend`): every
+  numbered session against its own MAD noise band;
+* ``profile`` / ``flamegraph`` — the span profiler
+  (:mod:`repro.obs.perf`); ``hotspots`` — a campaign artifact
+  (:mod:`repro.obs.hotspots`).
 
 Exit codes mirror ``tools.flatlint``: 0 clean, 1 regressions found,
-2 usage errors (unreadable file, schema violation).  The CLI lives in
-``python -m tools.perfreport`` with three subcommands — ``compare``
-(this gate), ``profile`` and ``flamegraph`` (front ends for the span
-profiler in :mod:`repro.obs.perf`).  See ``docs/performance.md``.
+2 usage errors (unreadable file, schema violation).  See
+``docs/performance.md``.
 """
 
-from __future__ import annotations
-
-import sys
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Mapping, Optional
-
-try:
-    from repro.obs import bench as bench_sessions
-except ImportError:  # standalone invocation from a checkout
-    sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
-    from repro.obs import bench as bench_sessions
-
 __version__ = "1.0.0"
-
-#: Default relative slowdown tolerated before a bench is a regression.
-DEFAULT_TOLERANCE = 0.25
-
-#: Default floor (seconds): benches under it on both sides are noise.
-DEFAULT_MIN_RUNTIME_S = 0.005
-
-#: Fingerprint keys whose drift makes wall-time comparison suspect.
-_ENV_KEYS = ("python", "networkx", "numpy", "scipy", "cpu_count",
-             "machine", "implementation")
-
-load_session = bench_sessions.load_session
-
-
-@dataclass
-class Delta:
-    """One bench key's judgement across the two sessions."""
-
-    key: str
-    base_s: Optional[float]
-    new_s: Optional[float]
-    status: str  # ok | regression | improvement | below-floor | added | removed
-
-    @property
-    def ratio(self) -> Optional[float]:
-        if self.base_s and self.new_s is not None and self.base_s > 0:
-            return self.new_s / self.base_s
-        return None
-
-
-@dataclass
-class Comparison:
-    """The full verdict of ``compare BASE NEW``."""
-
-    base_label: str
-    new_label: str
-    tolerance: float
-    min_runtime_s: float
-    deltas: List[Delta] = field(default_factory=list)
-    environment_drift: List[str] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> List[Delta]:
-        return [d for d in self.deltas if d.status == "regression"]
-
-    @property
-    def exit_code(self) -> int:
-        return 1 if self.regressions else 0
-
-
-def _wall_times(session: Mapping[str, object]) -> Dict[str, float]:
-    benchmarks = session.get("benchmarks")
-    walls: Dict[str, float] = {}
-    if isinstance(benchmarks, dict):
-        for key, entry in benchmarks.items():
-            if isinstance(entry, dict):
-                wall = entry.get("wall_s")
-                if isinstance(wall, (int, float)) and not isinstance(
-                        wall, bool):
-                    walls[str(key)] = float(wall)
-    return walls
-
-
-def _environment_drift(base: Mapping[str, object],
-                       new: Mapping[str, object]) -> List[str]:
-    base_env = base.get("environment")
-    new_env = new.get("environment")
-    if not isinstance(base_env, dict) or not isinstance(new_env, dict):
-        return []
-    drift = []
-    for key in _ENV_KEYS:
-        if base_env.get(key) != new_env.get(key):
-            drift.append(
-                f"{key}: {base_env.get(key)!r} -> {new_env.get(key)!r}")
-    return drift
-
-
-def compare_sessions(
-    base: Mapping[str, object],
-    new: Mapping[str, object],
-    tolerance: float = DEFAULT_TOLERANCE,
-    min_runtime_s: float = DEFAULT_MIN_RUNTIME_S,
-    base_label: str = "base",
-    new_label: str = "new",
-) -> Comparison:
-    """Judge two decoded bench sessions (see module docstring)."""
-    comparison = Comparison(
-        base_label=base_label, new_label=new_label,
-        tolerance=tolerance, min_runtime_s=min_runtime_s,
-        environment_drift=_environment_drift(base, new),
-    )
-    base_walls = _wall_times(base)
-    new_walls = _wall_times(new)
-    for key in sorted(base_walls.keys() | new_walls.keys()):
-        base_s = base_walls.get(key)
-        new_s = new_walls.get(key)
-        if base_s is None:
-            status = "added"
-        elif new_s is None:
-            status = "removed"
-        elif max(base_s, new_s) < min_runtime_s:
-            status = "below-floor"
-        elif base_s > 0 and new_s > base_s * (1 + tolerance):
-            status = "regression"
-        elif base_s > 0 and new_s < base_s * (1 - tolerance):
-            status = "improvement"
-        else:
-            status = "ok"
-        comparison.deltas.append(
-            Delta(key=key, base_s=base_s, new_s=new_s, status=status))
-    return comparison
-
-
-def render_text(comparison: Comparison) -> str:
-    """Aligned text verdict, regressions first."""
-    lines = [
-        f"perfreport: {comparison.base_label} -> {comparison.new_label} "
-        f"(tolerance {comparison.tolerance:.0%}, floor "
-        f"{comparison.min_runtime_s * 1e3:g} ms)"
-    ]
-    for note in comparison.environment_drift:
-        lines.append(f"! environment drift — {note}")
-    header = (f"{'status':<12} {'base_s':>10} {'new_s':>10} {'ratio':>7}  "
-              "bench")
-    lines += [header, "-" * len(header)]
-    order = {"regression": 0, "improvement": 1, "added": 2, "removed": 3,
-             "ok": 4, "below-floor": 5}
-    for delta in sorted(comparison.deltas,
-                        key=lambda d: (order[d.status], d.key)):
-        base_s = f"{delta.base_s:.4f}" if delta.base_s is not None else "-"
-        new_s = f"{delta.new_s:.4f}" if delta.new_s is not None else "-"
-        ratio = f"{delta.ratio:.2f}x" if delta.ratio is not None else "-"
-        lines.append(
-            f"{delta.status:<12} {base_s:>10} {new_s:>10} {ratio:>7}  "
-            f"{delta.key}")
-    judged = [d for d in comparison.deltas
-              if d.status in ("ok", "regression", "improvement")]
-    lines.append(
-        f"{len(comparison.regressions)} regression(s) across "
-        f"{len(judged)} judged bench(es), {len(comparison.deltas)} total")
-    return "\n".join(lines)
-
-
-def render_json(comparison: Comparison) -> Dict[str, object]:
-    """JSON-ready verdict for machine consumers (CI annotations)."""
-    return {
-        "base": comparison.base_label,
-        "new": comparison.new_label,
-        "tolerance": comparison.tolerance,
-        "min_runtime_s": comparison.min_runtime_s,
-        "environment_drift": list(comparison.environment_drift),
-        "regressions": len(comparison.regressions),
-        "deltas": [
-            {
-                "key": d.key,
-                "base_s": d.base_s,
-                "new_s": d.new_s,
-                "ratio": d.ratio,
-                "status": d.status,
-            }
-            for d in comparison.deltas
-        ],
-    }
-
-
-__all__ = [
-    "Comparison",
-    "DEFAULT_MIN_RUNTIME_S",
-    "DEFAULT_TOLERANCE",
-    "Delta",
-    "compare_sessions",
-    "load_session",
-    "render_json",
-    "render_text",
-    "__version__",
-]

@@ -1,10 +1,5 @@
-"""CLI: ``python -m tools.perfreport <compare|profile|flamegraph|hotspots>``.
+"""CLI: ``python -m tools.perfreport <command>``, one of:
 
-* ``compare [BASE NEW]`` — the bench regression gate over two
-  ``BENCH_*.json`` sessions; with no paths it auto-selects the two
-  newest numbered repo-root sessions (exit 0 with a message when fewer
-  than two exist).  Exit 0 clean, 1 regressions, 2 usage errors — the
-  same convention as ``tools.flatlint``.
 * ``profile RUN.jsonl`` — reconstruct the span tree of a
   ``--telemetry=RUN.jsonl`` session and print per-name cumulative /
   self time plus the critical path.
@@ -14,13 +9,16 @@
   artifact (``flattree hotspots``): stage wall/sample table, top
   functions by self time with their span context, and ``--folded``
   re-export of the captured stacks.
-* ``diff [BASE NEW]`` — attribute the wall-time delta between two
-  recordings per span path / function (``repro.obs.diffprof``); inputs
-  may be telemetry JSONL traces, ``HOTSPOTS_*.json`` campaigns, or
-  ``BENCH_*.json`` sessions (kinds auto-detected, must match).
-  ``--folded`` writes a differential folded-stack file (``stack
-  base_us new_us``) for red/blue flame graphs.  Exit 1 when any path
-  grew beyond tolerance.
+* ``diff [BASE NEW]`` — the pairwise gate: attribute the wall-time
+  delta between two recordings per span path / function
+  (``repro.obs.diffprof``); inputs may be telemetry JSONL traces,
+  ``HOTSPOTS_*.json`` campaigns, or ``BENCH_*.json`` sessions (kinds
+  auto-detected, must match).  With no paths it auto-selects the two
+  newest numbered repo-root bench sessions (exit 0 with a message when
+  fewer than two exist).  ``--folded`` writes a differential
+  folded-stack file (``stack base_us new_us``) for red/blue flame
+  graphs.  Exit 0 clean, 1 when any path grew beyond tolerance, 2
+  usage errors — the same convention as ``tools.flatlint``.
 * ``trend`` — trajectory-aware regression analytics over every
   numbered ``BENCH_*.json`` / ``HOTSPOTS_*.json`` session
   (``repro.obs.trend``): MAD noise bands over the trailing window,
@@ -35,15 +33,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from . import (
-    DEFAULT_MIN_RUNTIME_S,
-    DEFAULT_TOLERANCE,
-    __version__,
-    compare_sessions,
-    load_session,
-    render_json,
-    render_text,
-)
+from . import __version__
 
 try:
     from repro.errors import ReproError
@@ -53,12 +43,8 @@ except ImportError:  # standalone checkout (no installed package)
     from repro.errors import ReproError
     from repro.obs.perf import Profile
 
-from repro.obs import trend as trend_defaults  # noqa: E402 - after path fix
-
-
-def _session_seq(path: Path) -> int:
-    digits = "".join(ch for ch in path.stem if ch.isdigit())
-    return int(digits) if digits else 0
+from repro.obs import bench as bench_sessions  # noqa: E402 - after path fix
+from repro.obs import trend as trend_engine  # noqa: E402 - after path fix
 
 
 def _auto_select(root: Path) -> Optional[tuple]:
@@ -69,9 +55,7 @@ def _auto_select(root: Path) -> Optional[tuple]:
     was deleted or recorded elsewhere, which changes what "newest two"
     compares.  Returns ``None`` when fewer than two sessions exist.
     """
-    from repro.obs import bench as bench_sessions
-
-    sessions = bench_sessions.bench_paths(root)
+    sessions = bench_sessions.session_paths(root)
     if len(sessions) < 2:
         names = ", ".join(p.name for p in sessions) or "none"
         print(f"perfreport: found {len(sessions)} BENCH_<seq>.json "
@@ -81,7 +65,7 @@ def _auto_select(root: Path) -> Optional[tuple]:
     base_path, new_path = sessions[-2], sessions[-1]
     notice = (f"perfreport: auto-selected {base_path.name} (base) "
               f"vs {new_path.name} (new)")
-    seqs = [_session_seq(p) for p in sessions]
+    seqs = [bench_sessions.session_seq(p) or 0 for p in sessions]
     missing = sorted(set(range(min(seqs), max(seqs) + 1)) - set(seqs))
     if missing:
         gaps = ", ".join(str(n) for n in missing)
@@ -90,40 +74,6 @@ def _auto_select(root: Path) -> Optional[tuple]:
                    + ", ".join(p.name for p in sessions))
     print(notice)
     return base_path, new_path
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    base_path, new_path = args.base, args.new
-    if (base_path is None) != (new_path is None):
-        print("perfreport: pass both BASE and NEW, or neither "
-              "(auto-selects the two newest BENCH_<seq>.json)",
-              file=sys.stderr)
-        return 2
-    if base_path is None:
-        from repro.obs import bench as bench_sessions
-
-        root = Path(args.root) if args.root else bench_sessions.repo_root()
-        selected = _auto_select(root)
-        if selected is None:
-            return 0
-        base_path, new_path = str(selected[0]), str(selected[1])
-    try:
-        base = load_session(Path(base_path))
-        new = load_session(Path(new_path))
-    except ReproError as exc:
-        print(f"perfreport: {exc}", file=sys.stderr)
-        return 2
-    comparison = compare_sessions(
-        base, new,
-        tolerance=args.tolerance,
-        min_runtime_s=args.min_runtime,
-        base_label=base_path, new_label=new_path,
-    )
-    if args.format == "json":
-        print(json.dumps(render_json(comparison), indent=1, sort_keys=True))
-    else:
-        print(render_text(comparison))
-    return comparison.exit_code
 
 
 def _load_profile(path: str) -> Optional[Profile]:
@@ -206,7 +156,6 @@ def _load_recording(path: str) -> Optional[tuple]:
     ``.jsonl`` files are telemetry traces; JSON documents are sniffed
     by schema — ``flattree.hotspots/1`` campaigns vs bench sessions.
     """
-    from repro.obs import bench as bench_sessions
     from repro.obs import hotspots as hotspot_docs
 
     if path.endswith(".jsonl"):
@@ -248,7 +197,6 @@ def _diff_folded(kind: str, base: object, new: object) -> List[str]:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    from repro.obs import bench as bench_sessions
     from repro.obs import diffprof
 
     base_path, new_path = args.base, args.new
@@ -304,9 +252,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_trend(args: argparse.Namespace) -> int:
-    from repro.obs import bench as bench_sessions
-    from repro.obs import trend as trend_engine
-
     root = Path(args.root) if args.root else bench_sessions.repo_root()
     report = trend_engine.analyze_trajectory(
         root, window=args.window, sigmas=args.sigmas,
@@ -330,37 +275,12 @@ def _cmd_trend(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="perfreport",
-        description="Bench regression gate + span-tree profiler "
-                    "(docs/performance.md).",
+        description="Perf regression gates (diff, trend) + span-tree "
+                    "profiler (docs/performance.md).",
     )
     parser.add_argument(
         "--version", action="version", version=f"perfreport {__version__}")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser(
-        "compare", help="judge NEW against BASE (both BENCH_*.json); "
-                        "with no paths, the two newest numbered sessions")
-    p.add_argument("base", nargs="?", default=None,
-                   help="baseline BENCH_*.json (default: second-newest "
-                        "repo-root session)")
-    p.add_argument("new", nargs="?", default=None,
-                   help="candidate BENCH_*.json (default: newest "
-                        "repo-root session)")
-    p.add_argument("--root", default=None, metavar="DIR",
-                   help="directory searched for BENCH_<seq>.json when "
-                        "auto-selecting (default: the repo root)")
-    p.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        metavar="FRAC",
-        help="relative slowdown tolerated before a bench regresses "
-             f"(default {DEFAULT_TOLERANCE})")
-    p.add_argument(
-        "--min-runtime", type=float, default=DEFAULT_MIN_RUNTIME_S,
-        metavar="SECONDS",
-        help="benches under this on both sides are noise, never judged "
-             f"(default {DEFAULT_MIN_RUNTIME_S})")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser(
         "profile", help="span-tree profile of a telemetry JSONL trace")
@@ -392,10 +312,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.set_defaults(handler=_cmd_hotspots)
 
     p = sub.add_parser(
-        "diff", help="attribute the wall-time delta between two "
-                     "recordings (traces, HOTSPOTS_*.json, or "
-                     "BENCH_*.json); with no paths, the two newest "
-                     "numbered bench sessions")
+        "diff", help="pairwise regression gate: attribute the wall-time "
+                     "delta between two recordings (traces, "
+                     "HOTSPOTS_*.json, or BENCH_*.json); with no paths, "
+                     "the two newest numbered bench sessions")
     p.add_argument("base", nargs="?", default=None,
                    help="baseline recording (default: second-newest "
                         "repo-root BENCH_<seq>.json)")
@@ -406,14 +326,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="directory searched for BENCH_<seq>.json when "
                         "auto-selecting (default: the repo root)")
     p.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE, metavar="FRAC",
+        "--tolerance", type=float, default=bench_sessions.DEFAULT_TOLERANCE,
+        metavar="FRAC",
         help="relative growth tolerated before a path counts as grown "
-             f"(default {DEFAULT_TOLERANCE})")
+             f"(default {bench_sessions.DEFAULT_TOLERANCE})")
     p.add_argument(
-        "--min-runtime", type=float, default=DEFAULT_MIN_RUNTIME_S,
-        metavar="SECONDS",
+        "--min-runtime", type=float,
+        default=bench_sessions.DEFAULT_MIN_RUNTIME_S, metavar="SECONDS",
         help="paths under this on both sides are below-floor, never "
-             f"judged (default {DEFAULT_MIN_RUNTIME_S})")
+             f"judged (default {bench_sessions.DEFAULT_MIN_RUNTIME_S})")
     p.add_argument("--folded", default=None, metavar="PATH",
                    help="write differential folded stacks (stack "
                         "base_us new_us) for red/blue flame graphs; "
@@ -429,22 +350,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--root", default=None, metavar="DIR",
                    help="directory scanned for numbered sessions "
                         "(default: the repo root)")
-    p.add_argument("--window", type=int, default=trend_defaults.DEFAULT_WINDOW,
+    p.add_argument("--window", type=int, default=trend_engine.DEFAULT_WINDOW,
                    help="trailing sessions the noise model is fitted to "
-                        f"(default {trend_defaults.DEFAULT_WINDOW})")
-    p.add_argument("--sigmas", type=float, default=trend_defaults.DEFAULT_SIGMAS,
+                        f"(default {trend_engine.DEFAULT_WINDOW})")
+    p.add_argument("--sigmas", type=float, default=trend_engine.DEFAULT_SIGMAS,
                    help="band half-width in robust (MAD-derived) sigmas "
-                        f"(default {trend_defaults.DEFAULT_SIGMAS})")
+                        f"(default {trend_engine.DEFAULT_SIGMAS})")
     p.add_argument(
-        "--rel-floor", type=float, default=trend_defaults.DEFAULT_REL_FLOOR,
+        "--rel-floor", type=float, default=bench_sessions.DEFAULT_TOLERANCE,
         metavar="FRAC",
         help="relative band floor so near-constant series keep a "
-             f"tolerance (default {trend_defaults.DEFAULT_REL_FLOOR})")
+             f"tolerance (default {bench_sessions.DEFAULT_TOLERANCE})")
     p.add_argument(
-        "--min-runtime", type=float, default=trend_defaults.DEFAULT_MIN_RUNTIME_S,
-        metavar="SECONDS",
+        "--min-runtime", type=float,
+        default=bench_sessions.DEFAULT_MIN_RUNTIME_S, metavar="SECONDS",
         help="absolute band floor; sub-floor metrics are never judged "
-             f"(default {trend_defaults.DEFAULT_MIN_RUNTIME_S})")
+             f"(default {bench_sessions.DEFAULT_MIN_RUNTIME_S})")
     p.add_argument("--top", type=int, default=40,
                    help="rows in the metric table (default 40)")
     p.add_argument("--out", default=None, metavar="PATH",

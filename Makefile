@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test perf-test bench bench-session bench-smoke bench-compare trend-smoke figures examples lint lint-fast clean telemetry-smoke monitor-smoke chaos-smoke health-smoke hotspots-smoke heal-smoke
+.PHONY: install test perf-test bench golden bench-session bench-smoke bench-compare trend-smoke figures examples lint lint-fast clean telemetry-smoke monitor-smoke chaos-smoke health-smoke hotspots-smoke heal-smoke
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -20,6 +20,20 @@ perf-test:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Golden tables: rerun every bench whose table comes from fixed seeds
+# (all but the overhead, lint and diffprof wall-clock tables) and diff
+# each table against its committed block in benchmarks/RESULTS.txt.
+# The committed RESULTS.txt and METRICS.json are restored afterwards.
+golden:
+	@saved=$$(mktemp -d); \
+	cp benchmarks/RESULTS.txt benchmarks/METRICS.json "$$saved"; \
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ -q --benchmark-only -k "not overhead and not lint and not diffprof" \
+		&& $(PYTHON) benchmarks/golden.py "$$saved/RESULTS.txt" benchmarks/RESULTS.txt; \
+	status=$$?; \
+	cp "$$saved/RESULTS.txt" "$$saved/METRICS.json" benchmarks/; \
+	rm -rf "$$saved"; \
+	exit $$status
 
 # Record a durable perf session: full bench suite -> repo-root
 # BENCH_<seq>.json with environment fingerprint + registry counters.

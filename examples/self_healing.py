@@ -15,11 +15,7 @@ Run:  python examples/self_healing.py
 """
 
 from repro import Controller, FlatTree, FlatTreeDesign, Mode
-from repro.core.failures import (
-    FailureSet,
-    Leg,
-    materialize_with_failures,
-)
+from repro.core.failures import FailureSet, Leg
 from repro.core.scaling import downscale_plan
 from repro.mcf.commodities import Commodity
 from repro.topology.stats import is_connected
@@ -36,13 +32,13 @@ def part_one_self_healing(controller: Controller) -> None:
     print(f"cut: converter {victim} loses its edge-switch cable "
           f"(server {server} rides on it in Clos mode)")
 
-    degraded = materialize_with_failures(flattree, failures)
+    degraded = flattree.materialize(failures=failures)
     stranded = set(range(flattree.params.num_servers)) - set(degraded.servers())
     print(f"before healing: {len(stranded)} server(s) dark: {sorted(stranded)}")
 
     plan = controller.recover(failures)
     print(f"heal: {plan.summary()}")
-    healed = materialize_with_failures(flattree, failures)
+    healed = flattree.materialize(failures=failures)
     still_dark = set(range(flattree.params.num_servers)) - set(healed.servers())
     host = healed.server_switch(server)
     print(f"after healing: {len(still_dark)} server(s) dark; server "

@@ -8,7 +8,7 @@ Two fault layers, both fully deterministic for a fixed seed:
   folds the stream into the :class:`~repro.core.failures.FailureSet`
   active at any time ``t``, which is exactly the input
   :func:`repro.core.failures.heal` and
-  :func:`repro.core.failures.materialize_with_failures` consume.
+  :meth:`repro.core.flattree.FlatTree.materialize` consume.
 * **Command faults** — the control channel itself misbehaving: a
   converter command that times out (no ACK within the command timeout)
   or is NACKed outright.  :meth:`ChaosSchedule.command_fault` decides

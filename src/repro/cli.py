@@ -795,23 +795,15 @@ def _cost_handler(args) -> int:
 
 
 def _schedule_handler(args) -> int:
-    from repro.core.reconfigure import (
-        MACH_ZEHNDER,
-        MEMS_OPTICAL,
-        PACKET_CHIP,
-        schedule,
-    )
-
-    tech = {"mems": MEMS_OPTICAL, "mzi": MACH_ZEHNDER,
-            "packet": PACKET_CHIP}[args.technology]
     controller = Controller(FlatTree(FlatTreeDesign.for_fat_tree(args.k)))
-    before = controller.network
-    plan = controller.apply_mode(Mode(args.mode))
-    sched = schedule(plan, before, technology=tech,
-                     max_batch=args.max_batch)
+    report = controller.execute_mode(
+        Mode(args.mode),
+        technology=_technology_by_name(args.technology),
+        max_batch=args.max_batch,
+    )
     print(f"== conversion schedule, k={args.k} -> {args.mode} ==")
-    print(f"plan: {plan.summary()}")
-    print(f"schedule: {sched.summary()}")
+    print(f"plan: {controller.history[-1].summary()}")
+    print(f"schedule: {report.schedule.summary()}")
     return 0
 
 

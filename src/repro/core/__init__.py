@@ -18,12 +18,7 @@ from repro.core.converter import (
     pair_links,
 )
 from repro.core.design import FlatTreeDesign, mn_candidates, paper_round
-from repro.core.failures import (
-    FailureSet,
-    Leg,
-    heal,
-    materialize_with_failures,
-)
+from repro.core.failures import FailureSet, Leg, heal
 from repro.core.flattree import FlatTree
 from repro.core.scaling import DownscalePlan, apply_sleep, downscale_plan
 from repro.core.interpod import (
@@ -128,7 +123,6 @@ __all__ = [
     "convert",
     "downscale_plan",
     "heal",
-    "materialize_with_failures",
     "coverage_is_uniform",
     "direct_server_slots",
     "half_width",

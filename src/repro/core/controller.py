@@ -29,7 +29,7 @@ from repro.core.conversion import Mode, hybrid_configs, mode_configs
 from repro.core.converter import ConverterConfig, ConverterId
 from repro.core.flattree import FlatTree
 from repro.core.zones import ZoneLayout, uniform_layout
-from repro.routing.base import Path, RoutingTable
+from repro.routing.base import Path, RoutingTable, select_path
 from repro.routing.ksp import k_shortest_paths
 from repro.routing.sdn import SdnProgram
 from repro.routing.twolevel import two_level_route
@@ -40,15 +40,18 @@ from repro.topology.elements import Network, SwitchId
 class ReconfigurationPlan:
     """Everything one conversion entails, for audit and staging.
 
-    ``stages`` is the execution order: converters are drained (their
-    circuits go dark), re-programmed, then restored — flows must be
-    steered off the affected links before stage 1 commits.
+    ``pairs`` are the side pairs whose two ends are both re-programmed;
+    no batch of a schedule may split one.  ``stages`` is the execution
+    order: converters are drained (their circuits go dark),
+    re-programmed, then restored — flows must be steered off the
+    affected links before stage 1 commits.
     """
 
     config_changes: Dict[ConverterId, Tuple[ConverterConfig, ConverterConfig]]
     links_removed: List[Tuple[SwitchId, SwitchId]]
     links_added: List[Tuple[SwitchId, SwitchId]]
     servers_moved: Dict[int, Tuple[SwitchId, SwitchId]]
+    pairs: List[Tuple[ConverterId, ConverterId]]
     stages: List[str] = field(default_factory=list)
 
     @property
@@ -95,14 +98,9 @@ class Controller:
         stranded servers detached.
         """
         if self._network is None:
-            if self._failures is not None:
-                from repro.core.failures import materialize_with_failures
-
-                self._network = materialize_with_failures(
-                    self.flattree, self._failures
-                )
-            else:
-                self._network = self.flattree.materialize()
+            self._network = self.flattree.materialize(
+                failures=self._failures
+            )
         return self._network
 
     @property
@@ -119,25 +117,32 @@ class Controller:
         modes = sorted({m.value for m in layout.pod_modes().values()})
         with obs.span("apply_layout", modes=",".join(modes)):
             target = hybrid_configs(self.flattree, layout.pod_modes())
-            plan = self._plan(target)
-            self.flattree.set_configs(target)
+            plan = self._commit(target)
             self.layout = layout
-            self._network = None
-            self._route_cache.clear()
-            self.history.append(plan)
             return plan
+
+    def _commit(
+        self, target: Mapping[ConverterId, ConverterConfig]
+    ) -> ReconfigurationPlan:
+        """Plan ``target``, commit it, and serve the planned network."""
+        plan, after = self._plan(target)
+        self.flattree.set_configs(target)
+        self._network = after
+        self._route_cache.clear()
+        self.history.append(plan)
+        return plan
 
     def _plan(
         self, target: Mapping[ConverterId, ConverterConfig]
-    ) -> ReconfigurationPlan:
+    ) -> Tuple[ReconfigurationPlan, Network]:
+        """The plan to reach ``target`` and the network it yields.
+
+        Both networks of the diff are materialized under the active
+        plant failures, so the plan compares like with like.
+        """
         before = self.network
         changes = self.flattree.diff_configs(target)
-        # Materialize the target on a scratch copy of the converter state
-        # to compute physical churn without committing.
-        snapshot = self.flattree.configs()
-        self.flattree.set_configs(target)
-        after = self.flattree.materialize()
-        self.flattree.set_configs(snapshot)
+        after = self.flattree.materialize(target, failures=self._failures)
 
         removed, added = _link_diff(before, after)
         moved = {
@@ -165,8 +170,10 @@ class Controller:
             links_removed=removed,
             links_added=added,
             servers_moved=moved,
+            pairs=[(left, right) for left, right in self.flattree.pairs
+                   if left in changes and right in changes],
             stages=stages,
-        )
+        ), after
 
     def execute_mode(self, mode: Mode, **kwargs):
         """:meth:`execute_layout` for a whole-network mode."""
@@ -204,7 +211,7 @@ class Controller:
         modes = sorted({m.value for m in layout.pod_modes().values()})
         with obs.span("execute_layout", modes=",".join(modes)):
             target = hybrid_configs(self.flattree, layout.pod_modes())
-            plan = self._plan(target)
+            plan, _after = self._plan(target)
             report = execute(
                 self.flattree,
                 plan,
@@ -239,18 +246,11 @@ class Controller:
         keeps servers attached through healthy legs and preserves the
         most circuits.  Returns the executed plan; the cached network is
         the *intended* healthy materialization — ask
-        :func:`repro.core.failures.materialize_with_failures` for the
-        degraded view.
+        ``flattree.materialize(failures=...)`` for the degraded view.
         """
         from repro.core.failures import heal
 
-        assignment = heal(self.flattree, failures)
-        plan = self._plan(assignment)
-        self.flattree.set_configs(assignment)
-        self._network = None
-        self._route_cache.clear()
-        self.history.append(plan)
-        return plan
+        return self._commit(heal(self.flattree, failures))
 
     # ------------------------------------------------------------------
     # routing
@@ -276,20 +276,14 @@ class Controller:
         dst_sw = net.server_switch(dst_server)
         if src_sw == dst_sw:
             return [Path((src_sw,))]
-        if self._is_pure_clos() and not self.degraded:
-            return [
-                two_level_route(
-                    self.flattree.params, net, src_server, dst_server
-                )
-            ]
         if self._is_pure_clos():
             try:
-                path = two_level_route(
+                return [two_level_route(
                     self.flattree.params, net, src_server, dst_server
-                )
-                path.validate_on(net)
-                return [path]
+                )]
             except (ReproError, KeyError):
+                if not self.degraded:
+                    raise
                 obs.incr("core.controller.native_route_fallbacks")
         key = (src_sw, dst_sw)
         if key not in self._route_cache:
@@ -308,11 +302,9 @@ class Controller:
             raise RoutingError(
                 f"no route between servers {src_server} and {dst_server}"
             )
-        table = RoutingTable(name="controller")
-        table.add(options)
         if options[0].hops == 0:
             return options[0]
-        return table.select(options[0].src, options[0].dst, flow_key)
+        return select_path(options, flow_key)
 
     def compile_sdn(
         self, server_pairs: List[Tuple[int, int]]

@@ -122,4 +122,4 @@ def convert(
             obs.incr("core.conversion.reprogrammed", reprogrammed)
         ft.set_configs(assignment)
         with obs.timer("core.conversion.materialize_s"):
-            return ft.materialize(name or default_name)
+            return ft.materialize(name=name or default_name)

@@ -23,10 +23,23 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.errors import ConfigurationError
-from repro.topology.elements import AggSwitch, CoreSwitch, EdgeSwitch
+from repro.topology.elements import AggSwitch, CoreSwitch, EdgeSwitch, SwitchId
+
+if TYPE_CHECKING:
+    from repro.core.failures import FailureSet
 
 
 class ConverterConfig(enum.Enum):
@@ -69,6 +82,55 @@ class ConverterId:
     def is_six_port(self) -> bool:
         return self.blade == BLADE_B
 
+
+class Leg(enum.Enum):
+    """A converter's physical cables (paper Figure 3).
+
+    Each value other than SIDE names the :class:`Converter` attribute
+    holding the leg's far end.
+    """
+
+    CORE = "core"
+    AGG = "agg"
+    EDGE = "edge"
+    SERVER = "server"
+    SIDE = "side"  # the double side bundle to the peer
+
+
+class Circuit(NamedTuple):
+    """One circuit a configuration realizes, named by the legs it joins.
+
+    An own circuit joins legs ``a`` and ``b`` of one converter and uses
+    exactly those two legs.  A side-bundle circuit (``side``) joins leg
+    ``a`` of a converter to leg ``b`` of its peer and uses the SIDE leg
+    of both.  A circuit whose ``a`` is the SERVER leg attaches the
+    server; every other circuit is a switch-to-switch cable.
+    """
+
+    a: Leg
+    b: Leg
+    side: bool = False
+
+
+#: Every circuit of every configuration (paper Figure 1), in the order
+#: the network builder adds them.
+CIRCUITS: Dict[ConverterConfig, Tuple[Circuit, ...]] = {
+    ConverterConfig.DEFAULT: (Circuit(Leg.AGG, Leg.CORE),
+                              Circuit(Leg.SERVER, Leg.EDGE)),
+    ConverterConfig.LOCAL: (Circuit(Leg.CORE, Leg.EDGE),
+                            Circuit(Leg.SERVER, Leg.AGG)),
+    ConverterConfig.SIDE: (Circuit(Leg.SERVER, Leg.CORE),
+                           Circuit(Leg.EDGE, Leg.EDGE, side=True),
+                           Circuit(Leg.AGG, Leg.AGG, side=True)),
+    ConverterConfig.CROSS: (Circuit(Leg.SERVER, Leg.CORE),
+                            Circuit(Leg.EDGE, Leg.AGG, side=True),
+                            Circuit(Leg.AGG, Leg.EDGE, side=True)),
+}
+
+_ALL_CONFIGS: FrozenSet[ConverterConfig] = frozenset(ConverterConfig)
+_UNPAIRED_CONFIGS: FrozenSet[ConverterConfig] = frozenset(
+    {ConverterConfig.DEFAULT, ConverterConfig.LOCAL}
+)
 
 # A realized circuit: either a switch-switch cable or a server attachment.
 CableLink = Tuple[str, Union[CoreSwitch, AggSwitch, EdgeSwitch],
@@ -115,8 +177,8 @@ class Converter:
         is wired (the odd-d middle column has unused side connectors).
         """
         if self.cid.is_six_port and self.peer is not None:
-            return frozenset(ConverterConfig)
-        return frozenset({ConverterConfig.DEFAULT, ConverterConfig.LOCAL})
+            return _ALL_CONFIGS
+        return _UNPAIRED_CONFIGS
 
     def check_config(self, config: ConverterConfig) -> None:
         """Raise :class:`ConfigurationError` if ``config`` is illegal."""
@@ -126,40 +188,59 @@ class Converter:
                 f"(valid: {sorted(c.value for c in self.valid_configs)})"
             )
 
-    def own_links(self, config: Optional[ConverterConfig] = None) -> List[RealizedLink]:
+    def own_links(
+        self,
+        config: Optional[ConverterConfig] = None,
+        failures: Optional["FailureSet"] = None,
+    ) -> List[RealizedLink]:
         """Circuits realized by this converter alone under ``config``.
 
         Side links to the peer are *pair* circuits and are produced by
         :func:`pair_links`, not here, so that each pair is materialized
-        exactly once.
+        exactly once.  With ``failures``, only circuits whose legs and
+        switches are alive are returned; dead cables are the network
+        builder's concern.
         """
         config = config or self.config
         self.check_config(config)
-        if config is ConverterConfig.DEFAULT:
-            return [("cable", self.agg, self.core),
-                    ("attach", self.server, self.edge)]
-        if config is ConverterConfig.LOCAL:
-            return [("cable", self.core, self.edge),
-                    ("attach", self.server, self.agg)]
-        # SIDE / CROSS: server relocates to the core switch.
-        return [("attach", self.server, self.core)]
+        dead_legs: FrozenSet[Leg] = frozenset()
+        dead: FrozenSet[SwitchId] = frozenset()
+        if failures is not None:
+            dead_legs, dead = failures.dead_legs(self.cid), failures.switches
+        out: List[RealizedLink] = []
+        for leg_a, leg_b, side in CIRCUITS[config]:
+            if side or (dead_legs and (leg_a in dead_legs
+                                       or leg_b in dead_legs)):
+                continue
+            a, b = getattr(self, leg_a.value), getattr(self, leg_b.value)
+            if dead and (a in dead or b in dead):
+                continue
+            out.append(("attach" if leg_a is Leg.SERVER else "cable", a, b))
+        return out
 
 
 def pair_links(
-    left: Converter, right: Converter
+    left: Converter,
+    right: Converter,
+    configs: Optional[Mapping[ConverterId, ConverterConfig]] = None,
+    failures: Optional["FailureSet"] = None,
 ) -> List[RealizedLink]:
     """Circuits realized by a 6-port converter pair's side bundle.
 
     ``left``/``right`` are the two peered converters (order does not
-    matter).  Both must be in the same paired configuration:
+    matter), in their configurations in ``configs`` (default: their
+    current ones).  Both must be in the same paired configuration:
 
     * ``side``  — peer-wise links E-E' and A-A';
     * ``cross`` — edge-aggregation links E-A' and A-E'.
 
     Returns an empty list when neither is in a paired configuration (the
-    side bundle is dark); raises when the two ends disagree.
+    side bundle is dark) or, under ``failures``, when either SIDE leg is
+    dead; circuits touching a dead switch are dropped.  Raises when the
+    two ends disagree.
     """
-    lc, rc = left.config, right.config
+    lc = configs[left.cid] if configs is not None else left.config
+    rc = configs[right.cid] if configs is not None else right.config
     in_pair = (lc in PAIRED_CONFIGS, rc in PAIRED_CONFIGS)
     if in_pair == (False, False):
         return []
@@ -173,8 +254,17 @@ def pair_links(
         raise ConfigurationError(
             f"{left.cid} and {right.cid} are not wired as peers"
         )
-    if lc is ConverterConfig.SIDE:
-        return [("cable", left.edge, right.edge),
-                ("cable", left.agg, right.agg)]
-    return [("cable", left.edge, right.agg),
-            ("cable", left.agg, right.edge)]
+    dead: FrozenSet[SwitchId] = frozenset()
+    if failures is not None:
+        if (Leg.SIDE in failures.dead_legs(left.cid)
+                or Leg.SIDE in failures.dead_legs(right.cid)):
+            return []
+        dead = failures.switches
+    out: List[RealizedLink] = []
+    for circuit in CIRCUITS[lc]:
+        if not circuit.side:
+            continue
+        a, b = getattr(left, circuit.a.value), getattr(right, circuit.b.value)
+        if a not in dead and b not in dead:
+            out.append(("cable", a, b))
+    return out

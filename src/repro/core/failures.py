@@ -7,9 +7,10 @@ concrete for the flat-tree plant:
 * a :class:`FailureSet` marks physical *legs* dead — the cables between
   a converter and its core/aggregation/edge switch or server, the side
   bundle to its peer, plus any direct (non-converter) cable;
-* a circuit realized by a converter survives only if both its legs are
-  healthy; :func:`materialize_with_failures` produces the degraded
-  logical network for any configuration;
+* a circuit realized by a converter survives only if its legs are
+  healthy (:data:`repro.core.converter.CIRCUITS` names the legs of
+  every circuit); ``FlatTree.materialize(failures=...)`` produces the
+  degraded logical network for any configuration;
 * :func:`heal` searches each affected converter's configuration space
   for the assignment that (1) keeps its server attached through healthy
   legs and (2) maximizes the surviving switch-level circuits — the
@@ -22,9 +23,8 @@ handled jointly per pair.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Set, Tuple
 
 from repro import obs
 from repro.errors import ConfigurationError
@@ -32,20 +32,14 @@ from repro.core.converter import (
     Converter,
     ConverterConfig,
     ConverterId,
+    Leg,
     PAIRED_CONFIGS,
+    pair_links,
 )
-from repro.core.flattree import FlatTree
-from repro.topology.elements import Network, SwitchId
+from repro.topology.elements import SwitchId
 
-
-class Leg(enum.Enum):
-    """A converter's physical cables (paper Figure 3)."""
-
-    CORE = "core"
-    AGG = "agg"
-    EDGE = "edge"
-    SERVER = "server"
-    SIDE = "side"  # the double side bundle to the peer
+if TYPE_CHECKING:
+    from repro.core.flattree import FlatTree
 
 
 @dataclass(frozen=True)
@@ -53,8 +47,8 @@ class FailureSet:
     """Dead physical infrastructure.
 
     ``converter_legs`` maps a converter to its dead legs.  ``cables``
-    holds dead direct cables (switch pairs not behind a converter) and
-    ``switches`` whole dead switches (all their cables die).
+    holds dead cables (switch pairs) and ``switches`` whole dead
+    switches (all their cables die).
     """
 
     converter_legs: Dict[ConverterId, FrozenSet[Leg]] = field(
@@ -89,187 +83,26 @@ class FailureSet:
         A failure set referencing a converter or switch the plant does
         not contain would silently degrade *nothing* — every leg/cable
         lookup simply misses — so the entry points that consume failure
-        sets (:func:`materialize_with_failures`, :func:`heal`) validate
-        first and fail loudly instead.
+        sets (``FlatTree.materialize``, :func:`heal`) validate first and
+        fail loudly instead.
         """
         for cid in sorted(self.converter_legs):
             if cid not in ft.converters:
                 raise ConfigurationError(
                     f"failure set names unknown converter {cid}"
                 )
-        known = _plant_switches(ft)
         for switch in sorted(self.switches, key=repr):
-            if switch not in known:
+            if switch not in ft.switches:
                 raise ConfigurationError(
                     f"failure set names unknown switch {switch!r}"
                 )
         for cable in sorted(self.cables, key=repr):
             for switch in sorted(cable, key=repr):
-                if switch not in known:
+                if switch not in ft.switches:
                     raise ConfigurationError(
                         f"failure set names unknown switch {switch!r} "
                         f"in dead cable {tuple(sorted(cable, key=repr))}"
                     )
-
-
-def _plant_switches(ft: FlatTree) -> Set[SwitchId]:
-    """Every switch id the plant contains, for failure-set validation."""
-    from repro.topology.elements import AggSwitch, CoreSwitch, EdgeSwitch
-
-    params = ft.design.params
-    known: Set[SwitchId] = {
-        CoreSwitch(c) for c in range(params.num_cores)
-    }
-    for pod in range(params.pods):
-        for j in range(params.d):
-            known.add(EdgeSwitch(pod, j))
-        for a in range(params.aggs_per_pod):
-            known.add(AggSwitch(pod, a))
-    return known
-
-
-#: Legs used by each circuit of each configuration.  Side circuits use
-#: the SIDE leg on both converters; own circuits use two local legs.
-_CIRCUITS: Dict[ConverterConfig, List[Tuple[Leg, Leg]]] = {
-    ConverterConfig.DEFAULT: [(Leg.AGG, Leg.CORE), (Leg.EDGE, Leg.SERVER)],
-    ConverterConfig.LOCAL: [(Leg.AGG, Leg.SERVER), (Leg.CORE, Leg.EDGE)],
-    ConverterConfig.SIDE: [(Leg.SERVER, Leg.CORE)],
-    ConverterConfig.CROSS: [(Leg.SERVER, Leg.CORE)],
-}
-
-
-def _leg_switch(conv: Converter, leg: Leg) -> SwitchId:
-    if leg is Leg.CORE:
-        return conv.core
-    if leg is Leg.AGG:
-        return conv.agg
-    if leg is Leg.EDGE:
-        return conv.edge
-    raise ConfigurationError(f"leg {leg} has no switch endpoint")
-
-
-def surviving_own_links(
-    conv: Converter,
-    config: ConverterConfig,
-    failures: FailureSet,
-) -> List:
-    """The converter's own circuits that survive the failure set."""
-    dead = failures.dead_legs(conv.cid)
-    out = []
-    for leg_a, leg_b in _CIRCUITS[config]:
-        if leg_a in dead or leg_b in dead:
-            continue
-        endpoints = []
-        alive = True
-        for leg in (leg_a, leg_b):
-            if leg is Leg.SERVER:
-                endpoints.append(("server", conv.server))
-            else:
-                switch = _leg_switch(conv, leg)
-                if switch in failures.switches:
-                    alive = False
-                endpoints.append(("switch", switch))
-        if not alive:
-            continue
-        (kind_a, a), (kind_b, b) = endpoints
-        if kind_a == "server":
-            out.append(("attach", a, b))
-        elif kind_b == "server":
-            out.append(("attach", b, a))
-        else:
-            out.append(("cable", a, b))
-    return out
-
-
-def surviving_pair_links(
-    left: Converter, right: Converter, failures: FailureSet
-) -> List:
-    """Side-bundle circuits that survive (both SIDE legs must live)."""
-    from repro.core.converter import pair_links
-
-    if left.config not in PAIRED_CONFIGS:
-        return []
-    if Leg.SIDE in failures.dead_legs(left.cid):
-        return []
-    if Leg.SIDE in failures.dead_legs(right.cid):
-        return []
-    links = pair_links(left, right)
-    return [
-        link
-        for link in links
-        if not (link[1] in failures.switches or link[2] in failures.switches)
-    ]
-
-
-def materialize_with_failures(
-    ft: FlatTree, failures: FailureSet, name: Optional[str] = None
-) -> Network:
-    """The degraded logical network under the current configuration.
-
-    Dead switches are removed from the fabric entirely; dead direct
-    cables vanish; converter circuits whose legs died are not realized.
-    Servers whose attachment circuit died are left detached — they do
-    not appear in the result's server set, which is how callers count
-    stranded servers.
-    """
-    from repro.topology.elements import AggSwitch, CoreSwitch, EdgeSwitch
-
-    failures.validate(ft)
-    params = ft.design.params
-    net = Network(name or "flat-tree[degraded]")
-    for c in range(params.num_cores):
-        switch = CoreSwitch(c)
-        if switch not in failures.switches:
-            net.add_switch(switch, params.core_ports)
-    for pod in range(params.pods):
-        for j in range(params.d):
-            switch = EdgeSwitch(pod, j)
-            if switch not in failures.switches:
-                net.add_switch(switch, params.edge_ports)
-        for a in range(params.aggs_per_pod):
-            switch = AggSwitch(pod, a)
-            if switch not in failures.switches:
-                net.add_switch(switch, params.agg_ports)
-
-    def alive(u: SwitchId, v: SwitchId) -> bool:
-        return (
-            u not in failures.switches
-            and v not in failures.switches
-            and not failures.cable_dead(u, v)
-        )
-
-    for pod in range(params.pods):
-        for j in range(params.d):
-            for a in range(params.aggs_per_pod):
-                edge, agg = EdgeSwitch(pod, j), AggSwitch(pod, a)
-                if alive(edge, agg):
-                    net.add_cable(edge, agg)
-    for u, v in ft._direct_cables:
-        if alive(u, v):
-            net.add_cable(u, v)
-    for server, switch in ft._direct_attaches:
-        if switch not in failures.switches:
-            net.add_server(server, switch)
-
-    for conv in ft.converters.values():
-        for link in surviving_own_links(conv, conv.config, failures):
-            _apply(net, link, failures)
-    for left_id, right_id in ft.pairs:
-        links = surviving_pair_links(
-            ft.converters[left_id], ft.converters[right_id], failures
-        )
-        for link in links:
-            _apply(net, link, failures)
-    return net
-
-
-def _apply(net: Network, link, failures: FailureSet) -> None:
-    tag, a, b = link
-    if tag == "cable":
-        if not failures.cable_dead(a, b):
-            net.add_cable(a, b)
-    else:
-        net.add_server(a, b)
 
 
 def heal(
@@ -311,14 +144,10 @@ def _affected(conv: Converter, failures: FailureSet) -> bool:
     return False
 
 
-def _score_single(
-    conv: Converter, config: ConverterConfig, failures: FailureSet
-) -> Tuple[int, int, int]:
-    links = surviving_own_links(conv, config, failures)
-    server_alive = any(link[0] == "attach" for link in links)
-    cables = sum(1 for link in links if link[0] == "cable")
-    stay = 1 if config is conv.config else 0
-    return (1 if server_alive else 0, cables, stay)
+def _score(links, stay: bool) -> Tuple[int, int, int]:
+    """Servers kept attached, then surviving cables, then no churn."""
+    attached = sum(1 for link in links if link[0] == "attach")
+    return (attached, len(links) - attached, int(stay))
 
 
 def _best_single_config(
@@ -327,36 +156,28 @@ def _best_single_config(
     candidates = [
         c for c in conv.valid_configs if c not in PAIRED_CONFIGS
     ]
-    return max(candidates, key=lambda c: _score_single(conv, c, failures))
+    return max(candidates, key=lambda c: _score(
+        conv.own_links(c, failures), c is conv.config))
 
 
 def _best_pair_config(
     left: Converter, right: Converter, failures: FailureSet
 ) -> Tuple[ConverterConfig, ConverterConfig]:
     """Jointly score the pair's options (paired or both unpaired)."""
-    options: List[Tuple[ConverterConfig, ConverterConfig]] = []
-    for paired in (ConverterConfig.SIDE, ConverterConfig.CROSS):
-        options.append((paired, paired))
-    for lc in (ConverterConfig.DEFAULT, ConverterConfig.LOCAL):
-        for rc in (ConverterConfig.DEFAULT, ConverterConfig.LOCAL):
-            options.append((lc, rc))
+    unpaired = (ConverterConfig.DEFAULT, ConverterConfig.LOCAL)
+    options = [(paired, paired)
+               for paired in (ConverterConfig.SIDE, ConverterConfig.CROSS)]
+    options += [(lc, rc) for lc in unpaired for rc in unpaired]
 
     def score(option: Tuple[ConverterConfig, ConverterConfig]):
         lc, rc = option
-        old_left, old_right = left.config, right.config
-        left.config, right.config = lc, rc
-        try:
-            links = (
-                surviving_own_links(left, lc, failures)
-                + surviving_own_links(right, rc, failures)
-                + surviving_pair_links(left, right, failures)
-            )
-        finally:
-            left.config, right.config = old_left, old_right
-        servers_alive = sum(1 for link in links if link[0] == "attach")
-        cables = sum(1 for link in links if link[0] == "cable")
-        stay = 1 if (lc, rc) == (old_left, old_right) else 0
-        return (servers_alive, cables, stay)
+        links = (
+            left.own_links(lc, failures)
+            + right.own_links(rc, failures)
+            + pair_links(left, right, {left.cid: lc, right.cid: rc},
+                         failures)
+        )
+        return _score(links, option == (left.config, right.config))
 
     return max(options, key=score)
 
@@ -397,7 +218,7 @@ def heal_report(
         conv = ft.converters[cid]
         if not _affected(conv, failures):
             continue
-        links = surviving_own_links(conv, assignment[cid], failures)
+        links = conv.own_links(assignment[cid], failures)
         if not any(link[0] == "attach" for link in links):
             unrecoverable.append(cid)
     obs.event(

@@ -5,7 +5,9 @@ static cables converters never touch, and every converter switch with its
 wired endpoints and peer.  The plant is built once; operating modes are
 then realized by assigning converter configurations and asking
 :meth:`FlatTree.materialize` for the resulting logical
-:class:`~repro.topology.elements.Network`.
+:class:`~repro.topology.elements.Network` — of the current or any other
+assignment, healthy or under a
+:class:`~repro.core.failures.FailureSet`.
 
 Materialized networks carry the exact port-accounting of the plant: a
 circuit realized through a converter consumes the same physical ports the
@@ -15,22 +17,23 @@ uses precisely the fat-tree's equipment.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.core.converter import (
     BLADE_A,
     BLADE_B,
+    PAIRED_CONFIGS,
     Converter,
     ConverterConfig,
     ConverterId,
     pair_links,
 )
 from repro.core.design import FlatTreeDesign
+from repro.core.failures import FailureSet
 from repro.core.interpod import iter_pairs
 from repro.core.pod import blade_a_server_slot, blade_b_server_slot, direct_server_slots
 from repro.core.wiring import Slot
-from repro.topology.clos import add_clos_switches, add_intra_pod_bipartite
 from repro.topology.elements import (
     AggSwitch,
     CoreSwitch,
@@ -47,7 +50,13 @@ class FlatTree:
         self.design = design
         self.converters: Dict[ConverterId, Converter] = {}
         self.pairs: List[Tuple[ConverterId, ConverterId]] = []
+        #: Every switch with its port budget, in the insertion order of
+        #: materialized networks (cores, then each Pod's edges and aggs).
+        self.switches: Dict[SwitchId, int] = {}
         self._direct_cables: List[Tuple[SwitchId, SwitchId]] = []
+        #: Cables no converter touches: each Pod's edge-aggregation
+        #: bipartite, then the direct aggregation-core cables.
+        self._static_cables: List[Tuple[SwitchId, SwitchId]] = []
         self._direct_attaches: List[Tuple[int, SwitchId]] = []
         self._build_plant()
 
@@ -58,6 +67,14 @@ class FlatTree:
         design = self.design
         params = design.params
         wiring = design.wiring
+        for c in range(params.num_cores):
+            self.switches[CoreSwitch(c)] = params.core_ports
+        for pod in range(params.pods):
+            edges = [EdgeSwitch(pod, j) for j in range(params.d)]
+            aggs = [AggSwitch(pod, a) for a in range(params.aggs_per_pod)]
+            self.switches.update((edge, params.edge_ports) for edge in edges)
+            self.switches.update((agg, params.agg_ports) for agg in aggs)
+            self._static_cables += [(e, a) for e in edges for a in aggs]
         for pod in range(params.pods):
             for edge in range(params.d):
                 edge_sw = EdgeSwitch(pod, edge)
@@ -72,6 +89,7 @@ class FlatTree:
                 for slot in direct_server_slots(design):
                     server = params.server_id(pod, edge, slot)
                     self._direct_attaches.append((server, edge_sw))
+        self._static_cables += self._direct_cables
         self._wire_pairs()
 
     def _add_converter(
@@ -118,21 +136,20 @@ class FlatTree:
         be consistent (both ends side, both ends cross, or both dark).
         The assignment is validated before any state changes.
         """
+        self._staged(assignment)
+        for cid, config in assignment.items():
+            self.converters[cid].config = config
+
+    def _staged(
+        self, assignment: Mapping[ConverterId, ConverterConfig]
+    ) -> Dict[ConverterId, ConverterConfig]:
+        """The full configuration ``assignment`` leads to, validated."""
         staged = self.configs()
         for cid, config in assignment.items():
             if cid not in self.converters:
                 raise ConfigurationError(f"unknown converter {cid}")
             self.converters[cid].check_config(config)
             staged[cid] = config
-        self._check_pair_consistency(staged)
-        for cid, config in assignment.items():
-            self.converters[cid].config = config
-
-    def _check_pair_consistency(
-        self, staged: Mapping[ConverterId, ConverterConfig]
-    ) -> None:
-        from repro.core.converter import PAIRED_CONFIGS
-
         for left, right in self.pairs:
             lc, rc = staged[left], staged[right]
             lp, rp = lc in PAIRED_CONFIGS, rc in PAIRED_CONFIGS
@@ -141,35 +158,55 @@ class FlatTree:
                     f"side bundle {left} <-> {right} inconsistent: "
                     f"{lc.value} vs {rc.value}"
                 )
+        return staged
 
     # ------------------------------------------------------------------
     # materialization
     # ------------------------------------------------------------------
-    def materialize(self, name: Optional[str] = None) -> Network:
-        """Build the logical network realized by the current configs."""
-        params = self.design.params
-        net = Network(name or f"flat-tree({params.pods} pods)")
-        add_clos_switches(net, params)
-        add_intra_pod_bipartite(net, params)
-        for u, v in self._direct_cables:
-            net.add_cable(u, v)
-        for server, switch in self._direct_attaches:
-            net.add_server(server, switch)
-        for conv in self.converters.values():
-            for link in conv.own_links():
-                self._apply_link(net, link)
-        for left, right in self.pairs:
-            for link in pair_links(self.converters[left], self.converters[right]):
-                self._apply_link(net, link)
-        return net
+    def materialize(
+        self,
+        assignment: Optional[Mapping[ConverterId, ConverterConfig]] = None,
+        failures: Optional[FailureSet] = None,
+        name: Optional[str] = None,
+    ) -> Network:
+        """Build the logical network a configuration realizes.
 
-    @staticmethod
-    def _apply_link(net: Network, link) -> None:
-        tag, a, b = link
-        if tag == "cable":
-            net.add_cable(a, b)
-        else:
-            net.add_server(a, b)
+        ``assignment`` is the (partial) configuration to realize, default
+        the plant's current one; the plant itself is left unchanged.
+        Under ``failures`` dead switches are absent from the fabric, dead
+        cables and circuits over dead legs are not realized, and servers
+        whose attachment circuit died are left detached — they do not
+        appear in the result's server set, which is how callers count
+        stranded servers.
+        """
+        configs = (self.configs() if assignment is None
+                   else self._staged(assignment))
+        dead: FrozenSet[SwitchId] = frozenset()
+        if failures is not None:
+            failures.validate(self)
+            dead = failures.switches
+        cables = list(self._static_cables)
+        servers = list(self._direct_attaches)
+        links = [link for cid, conv in self.converters.items()
+                 for link in conv.own_links(configs[cid], failures)]
+        for left, right in self.pairs:
+            links += pair_links(self.converters[left],
+                                self.converters[right], configs, failures)
+        for tag, a, b in links:
+            (cables if tag == "cable" else servers).append((a, b))
+
+        net = Network(name or (f"flat-tree({self.params.pods} pods)"
+                               if failures is None else "flat-tree[degraded]"))
+        for switch, ports in self.switches.items():
+            if switch not in dead:
+                net.add_switch(switch, ports)
+        for u, v in cables:
+            if failures is None or not failures.cable_dead(u, v):
+                net.add_cable(u, v)
+        for server, switch in servers:
+            if switch not in dead:
+                net.add_server(server, switch)
+        return net
 
     # ------------------------------------------------------------------
     # conveniences

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.core.controller import ReconfigurationPlan
-from repro.core.failures import FailureSet, HealOutcome
+from repro.core.failures import FailureSet, HealOutcome, heal_report
 from repro.routing.base import Path
 from repro.topology.elements import Network, SwitchId
 
@@ -65,7 +65,7 @@ class Schedule:
     """A staged execution of a reconfiguration plan.
 
     ``dark_links`` parallels ``batches``: the physical links that blink
-    while batch *i* switches, which :func:`audit` replays into a
+    while batch *i* switches, which :func:`execute` writes into a
     :class:`~repro.monitor.NetworkMonitor` downtime ledger.
     """
 
@@ -127,7 +127,6 @@ def schedule(
     before: Network,
     technology: Technology = MEMS_OPTICAL,
     max_batch: int = 64,
-    pairs: Optional[Sequence[Tuple]] = None,
 ) -> Schedule:
     """Batch a plan so no batch dark-out disconnects the network.
 
@@ -136,12 +135,12 @@ def schedule(
     copy); otherwise a new batch starts.  ``max_batch`` caps batch size
     (controller fan-out limits).
 
-    ``pairs`` (the plant's side-bundle pairs) makes batching
-    *pair-atomic*: when both members of a pair are re-programmed, they
-    land in the same batch, so no intermediate configuration ever holds
-    half a pair (which :meth:`FlatTree.set_configs` would reject).  A
-    pair counts as two converters against ``max_batch`` but is never
-    split, so a pair-atomic batch may exceed the cap by one.
+    Batching is *pair-atomic*: both ends of a re-programmed side pair
+    (``plan.pairs``) land in the same batch, so no intermediate
+    configuration ever holds half a pair (which
+    :meth:`FlatTree.set_configs` would reject).  A pair counts as two
+    converters against ``max_batch`` but is never split, so a batch may
+    exceed the cap by one.
     """
     if max_batch < 1:
         raise ConfigurationError("max_batch must be positive")
@@ -149,7 +148,7 @@ def schedule(
     if not converters:
         return Schedule(technology=technology)
     sched = _build_schedule(plan, before, technology, max_batch,
-                            converters, pairs)
+                            converters)
     obs.incr("core.reconfigure.schedules")
     obs.incr("core.reconfigure.batches", sched.num_batches)
     obs.incr("core.reconfigure.converters_scheduled", len(converters))
@@ -157,24 +156,17 @@ def schedule(
     return sched
 
 
-def _atomic_units(
-    converters: List, pairs: Optional[Sequence[Tuple]]
-) -> List[List]:
+def _atomic_units(converters: List, pairs: Sequence[Tuple]) -> List[List]:
     """Group converters into indivisible scheduling units.
 
-    Without ``pairs`` every converter is its own unit (the historical
-    behavior, byte-for-byte).  With ``pairs``, two pair members that are
-    both re-programmed form one unit, placed at the earlier member's
-    position in the sorted order.
+    The two ends of a re-programmed pair form one unit, placed at the
+    earlier end's position in the sorted order; every other converter
+    is its own unit.
     """
-    if not pairs:
-        return [[cid] for cid in converters]
-    in_plan = set(converters)
     mate: Dict = {}
     for left, right in pairs:
-        if left in in_plan and right in in_plan:
-            mate[left] = right
-            mate[right] = left
+        mate[left] = right
+        mate[right] = left
     units: List[List] = []
     seen = set()
     for cid in converters:
@@ -196,12 +188,11 @@ def _build_schedule(
     technology: Technology,
     max_batch: int,
     converters: List,
-    pairs: Optional[Sequence[Tuple]] = None,
 ) -> Schedule:
     from repro.topology.stats import is_connected
 
     dark_by_converter = _links_by_converter(plan)
-    units = _atomic_units(converters, pairs)
+    units = _atomic_units(converters, plan.pairs)
 
     batches: List[List] = []
     batch_links: List[List[Tuple[SwitchId, SwitchId]]] = []
@@ -271,51 +262,6 @@ def _touches(cid, switch: SwitchId) -> bool:
     if switch.kind in ("edge", "agg"):
         return switch.pod == cid.pod
     return False
-
-
-def audit(
-    sched: Schedule,
-    monitor,
-    start: float = 0.0,
-) -> float:
-    """Replay a schedule's blink timeline into a network monitor.
-
-    For every batch, every link that blinks emits ``link_down`` at the
-    batch's dark instant and ``link_up`` when the circuit switches
-    complete, filling the monitor's downtime ledger
-    (:meth:`~repro.monitor.NetworkMonitor.downtime`).  By construction,
-    each link's total dark time equals :attr:`Schedule.blink_window`
-    per blink — the ledger is the event-level cross-check of the
-    schedule's batch arithmetic.  Returns the instant the conversion
-    finishes (``start + total_time``).
-
-    An empty plan or a zero-duration blink window (a technology with no
-    switching delay) emits nothing — a ``[t, t]`` ledger window would
-    record downtime that never happened.
-    """
-    if sched.blink_window <= 0:
-        obs.incr("core.reconfigure.audits")
-        return start + sched.total_time
-    windows = sched.batch_windows(start)
-    links_down = 0
-    for (down_t, up_t), links in zip(windows, sched.dark_links):
-        # Parallel cables of one bundle blink together: one ledger
-        # window per physical link pair per batch.
-        unique: List[Tuple[SwitchId, SwitchId]] = []
-        seen = set()
-        for u, v in links:
-            key = frozenset((u, v))
-            if key not in seen:
-                seen.add(key)
-                unique.append((u, v))
-        for u, v in unique:
-            monitor.link_down(down_t, u, v)
-        for u, v in unique:
-            monitor.link_up(up_t, u, v)
-        links_down += len(unique)
-    obs.incr("core.reconfigure.audits")
-    obs.incr("core.reconfigure.audited_links_down", links_down)
-    return start + sched.total_time
 
 
 @dataclass(frozen=True)
@@ -478,14 +424,19 @@ def execute(
     Plant faults active when the conversion ends trigger
     :func:`~repro.core.failures.heal_report`; the final network is then
     the degraded materialization, re-validated and connectivity-checked.
+
     ``monitor`` (a :class:`~repro.monitor.NetworkMonitor`) receives the
-    committed batches' blink ledger, as :func:`audit` would emit.
+    downtime ledger of the committed batches: every link a batch blinks
+    gets one ``link_down``/``link_up`` window, ``[down_t, up_t]`` —
+    parallel cables of one bundle blink together, once per batch — so
+    each window equals :attr:`Schedule.blink_window`.  A technology
+    with no switching delay records nothing: a ``[t, t]`` window would
+    be downtime that never happened.
     """
     from repro.chaos.engine import ChaosClock
 
     sched = schedule(plan, before, technology=technology,
-                     max_batch=max_batch,
-                     pairs=getattr(flattree, "pairs", None))
+                     max_batch=max_batch)
     policy = policy or RetryPolicy()
     chaotic = chaos is not None and not chaos.is_null()
     clock = ChaosClock(start)
@@ -610,16 +561,12 @@ def execute(
         extra += delay
         clock.seek(up_t)
         if monitor is not None and sched.blink_window > 0:
-            unique: List[Tuple[SwitchId, SwitchId]] = []
-            seen = set()
-            for u, v in sched.dark_links[index]:
-                key = frozenset((u, v))
-                if key not in seen:
-                    seen.add(key)
-                    unique.append((u, v))
-            for u, v in unique:
+            unique: Dict[frozenset, Tuple[SwitchId, SwitchId]] = {}
+            for link in sched.dark_links[index]:
+                unique.setdefault(frozenset(link), link)
+            for u, v in unique.values():
                 monitor.link_down(down_t, u, v)
-            for u, v in unique:
+            for u, v in unique.values():
                 monitor.link_up(up_t, u, v)
         results.append(BatchResult(
             index=index, converters=list(batch),
@@ -631,15 +578,10 @@ def execute(
     failures = chaos.failures_at(finish) if chaotic else FailureSet()
     heal_outcome = None
     if not failures.is_empty():
-        from repro.core.failures import (
-            heal_report,
-            materialize_with_failures,
-        )
-
         heal_outcome = heal_report(flattree, failures, t=finish)
         if heal_outcome.reconfigured:
             flattree.set_configs(heal_outcome.assignment)
-        network = materialize_with_failures(flattree, failures)
+        network = flattree.materialize(failures=failures)
     else:
         network = flattree.materialize()
 

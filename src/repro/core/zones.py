@@ -17,7 +17,7 @@ of 10%" experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.core.conversion import Mode
@@ -119,8 +119,3 @@ def uniform_layout(params: ClosParams, mode: Mode, name: str = "all") -> ZoneLay
         params=params,
         zones=(Zone(name, mode, tuple(range(params.pods))),),
     )
-
-
-def modes_of(layout: ZoneLayout) -> Mapping[int, Mode]:
-    """Alias of :meth:`ZoneLayout.pod_modes` (reads better at call sites)."""
-    return layout.pod_modes()

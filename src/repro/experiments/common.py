@@ -13,7 +13,7 @@ import os
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.conversion import Mode, convert
 from repro.core.design import FlatTreeDesign
@@ -198,11 +198,3 @@ def throughput_of(
 ) -> float:
     """Convenience: build the flow problem and solve it."""
     return solve_throughput(build_flow_problem(net, commodities), force=force)
-
-
-def run_and_print(fn: Callable[[], ExperimentResult]) -> ExperimentResult:
-    """Run an experiment and print its table (CLI helper)."""
-    result = fn()
-    print(f"== {result.experiment} ==")
-    print(result.table())
-    return result

@@ -26,9 +26,7 @@ from repro.core.reconfigure import (
     MEMS_OPTICAL,
     Schedule,
     Technology,
-    audit,
     disruption,
-    schedule,
 )
 from repro.experiments.common import ExperimentResult
 from repro.flowsim.simulator import (
@@ -113,13 +111,14 @@ def run_fct_monitored(
     Timeline: the hot-spot workload's first half runs on Clos with a
     :class:`~repro.monitor.NetworkMonitor` sampling every allocation;
     at ``t_convert`` (mid-run of the Clos phase) the controller
-    converts to global-random and :func:`repro.core.reconfigure.audit`
-    replays the schedule's blink windows into the monitor's downtime
-    ledger; the second half then runs on the converted fabric, arrivals
-    stamped after the conversion completes, with the *same* monitor
-    rebound to the new materialization.  The conversion is modeled as
-    overlapping the Clos phase's tail (the fluid simulator cannot swap
-    fabrics mid-event-loop), which is exactly what makes the
+    converts to global-random through
+    :meth:`~repro.core.controller.Controller.execute_mode`, whose
+    pair-atomic batches write their blink windows into the monitor's
+    downtime ledger; the second half then runs on the converted fabric,
+    arrivals stamped after the conversion completes, with the *same*
+    monitor rebound to the new materialization.  The conversion is
+    modeled as overlapping the Clos phase's tail (the fluid simulator
+    cannot swap fabrics mid-event-loop), which is exactly what makes the
     ``dark_traffic`` figure non-trivial: it measures the flow-seconds
     of in-flight Clos traffic that crossed links while they blinked.
     """
@@ -139,10 +138,11 @@ def run_fct_monitored(
     ).run(list(first))
 
     t_convert = 0.5 * sim_before.makespan
-    before_net = controller.network
-    plan = controller.apply_mode(Mode.GLOBAL_RANDOM)
-    sched = schedule(plan, before_net, technology=technology)
-    t_restored = audit(sched, monitor, start=t_convert)
+    report = controller.execute_mode(
+        Mode.GLOBAL_RANDOM, technology=technology, monitor=monitor,
+        start=t_convert,
+    )
+    plan = controller.history[-1]
 
     dark = monitor.dark_traffic(
         (c.path, c.start, c.finish)
@@ -155,10 +155,9 @@ def run_fct_monitored(
          if c.path is not None],
     )
 
-    monitor.rebind(controller.network)
     shifted = [
         FlowSpec(spec.flow_id, spec.src_server, spec.dst_server,
-                 spec.size, arrival=t_restored + spec.arrival)
+                 spec.size, arrival=report.finish + spec.arrival)
         for spec in second
     ]
     sim_after = FlowSimulator(
@@ -167,10 +166,10 @@ def run_fct_monitored(
 
     return MonitoredConversionRun(
         monitor=monitor,
-        schedule=sched,
+        schedule=report.schedule,
         plan_summary=plan.summary(),
         t_convert=t_convert,
-        t_restored=t_restored,
+        t_restored=report.finish,
         before=sim_before,
         after=sim_after,
         dark_traffic=dark,

@@ -159,8 +159,8 @@ def hybrid_point(
     """Solve one proportion point of the hybrid study."""
     layout = proportional_layout(design.params, fraction_global)
     ft = FlatTree(design)
-    ft.set_configs(hybrid_configs(ft, layout.pod_modes()))
-    net = ft.materialize("flat-tree[hybrid]")
+    net = ft.materialize(hybrid_configs(ft, layout.pod_modes()),
+                         name="flat-tree[hybrid]")
 
     g_servers = layout.zone_servers("global")
     l_servers = layout.zone_servers("local")

@@ -24,7 +24,7 @@ from typing import Dict, Optional
 
 from repro.core.controller import Controller
 from repro.core.design import FlatTreeDesign
-from repro.core.failures import FailureSet, Leg, materialize_with_failures
+from repro.core.failures import FailureSet, Leg
 from repro.core.flattree import FlatTree
 from repro.core.reconfigure import MEMS_OPTICAL, Technology
 from repro.errors import ReproError
@@ -117,7 +117,7 @@ def run_selfheal_soak(k: int = 4, flows: int = 24, seed: int = 0,
     failures = FailureSet.of_legs((victim, Leg.EDGE))
     # The degraded view is the pre-heal Clos with the dead leg; capture
     # it before the loop re-programs any converter.
-    degraded = materialize_with_failures(ft, failures)
+    degraded = ft.materialize(failures=failures)
     stranded_degraded = ft.params.num_servers - len(list(degraded.servers()))
 
     agg = new_selfheal_aggregator(eval_every=4)
@@ -140,7 +140,7 @@ def run_selfheal_soak(k: int = 4, flows: int = 24, seed: int = 0,
 
     events = [TopologyEvent(t_fail, degraded, ksp_router(degraded),
                             label="leg_fail")]
-    healed = materialize_with_failures(ft, failures)
+    healed = ft.materialize(failures=failures)
     stranded_healed = ft.params.num_servers - len(list(healed.servers()))
     if t_repair is not None:
         events.append(TopologyEvent(t_repair, healed, ksp_router(healed),

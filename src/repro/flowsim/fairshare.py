@@ -61,10 +61,6 @@ class FairShareResult:
         return {f: r for f, r in self.rates.items() if math.isfinite(r)}
 
 
-def _directed_key(u: SwitchId, v: SwitchId) -> LinkKey:
-    return (u, v)
-
-
 def link_allocation(
     flows: List[RoutedFlow], rates: Dict[int, float]
 ) -> Tuple[Dict[LinkKey, float], Dict[LinkKey, int]]:
@@ -82,7 +78,7 @@ def link_allocation(
         if not math.isfinite(rate):
             continue
         for u, v in flow.path.edges():
-            key = _directed_key(u, v)
+            key = (u, v)
             link_rates[key] = link_rates.get(key, 0.0) + rate
             link_flows[key] = link_flows.get(key, 0) + 1
     return link_rates, link_flows
@@ -113,14 +109,14 @@ def max_min_fair_rates(
                 f"link {u!r} - {v!r} has non-positive capacity {cap}; "
                 f"flows crossing it could never be allocated a rate"
             )
-        capacity[_directed_key(u, v)] = cap
-        capacity[_directed_key(v, u)] = cap
+        capacity[(u, v)] = cap
+        capacity[(v, u)] = cap
 
     flows_on: Dict[LinkKey, List[RoutedFlow]] = {}
     for flow in flows:
         flow.path.validate_on(net)
         for u, v in flow.path.edges():
-            flows_on.setdefault(_directed_key(u, v), []).append(flow)
+            flows_on.setdefault((u, v), []).append(flow)
 
     rates: Dict[int, float] = {}
     active: Dict[int, RoutedFlow] = {f.flow_id: f for f in flows}
@@ -189,6 +185,6 @@ def _freeze(
     if not math.isfinite(rate):
         return
     for u, v in flow.path.edges():
-        key = _directed_key(u, v)
+        key = (u, v)
         remaining[key] = max(0.0, remaining[key] - rate)
         active_count[key] -= 1

@@ -38,7 +38,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple
 from repro import obs
 from repro.errors import ReproError
 from repro.obs.stats import gini as _gini
-from repro.obs.stats import nearest_rank_quantile, quantile_summary
+from repro.obs.stats import nearest_rank_quantile
 from repro.routing.base import Path
 from repro.topology.elements import Network, SwitchId
 
@@ -88,7 +88,7 @@ class LinkSeries:
     """
 
     __slots__ = ("key", "capacity", "samples", "count", "peak",
-                 "peak_flows", "_rate_sum", "_util_sum")
+                 "peak_flows", "_util_sum")
 
     def __init__(self, key: LinkKey, capacity: float, retention: int) -> None:
         self.key = key
@@ -97,13 +97,11 @@ class LinkSeries:
         self.count = 0
         self.peak = 0.0
         self.peak_flows = 0
-        self._rate_sum = 0.0
         self._util_sum = 0.0
 
     def record(self, sample: LinkSample) -> None:
         self.samples.append(sample)
         self.count += 1
-        self._rate_sum += sample.rate
         self._util_sum += sample.utilization
         if sample.utilization > self.peak:
             self.peak = sample.utilization
@@ -114,19 +112,11 @@ class LinkSeries:
     def mean_utilization(self) -> float:
         return self._util_sum / self.count if self.count else 0.0
 
-    @property
-    def mean_rate(self) -> float:
-        return self._rate_sum / self.count if self.count else 0.0
-
     def utilization_quantile(self, q: float) -> float:
         """Nearest-rank quantile over the *retained* samples."""
         return nearest_rank_quantile(
             (s.utilization for s in self.samples), q
         )
-
-    def utilization_summary(self) -> Dict[str, float]:
-        """p50/p90/p99 utilization over the retained samples."""
-        return quantile_summary([s.utilization for s in self.samples])
 
     def snapshot(self) -> Dict[str, object]:
         return {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import RoutingError
 from repro.topology.elements import Network, SwitchId
@@ -53,6 +53,13 @@ class Path:
                 )
 
 
+def select_path(paths: Sequence[Path], flow_key: object) -> Path:
+    """Deterministic crc32 pick of a flow's path among one pair's paths."""
+    src, dst = paths[0].src, paths[0].dst
+    digest = zlib.crc32(repr((src, dst, flow_key)).encode())
+    return paths[digest % len(paths)]
+
+
 @dataclass
 class RoutingTable:
     """Multipath routes per (source switch, destination switch) pair.
@@ -88,9 +95,7 @@ class RoutingTable:
 
     def select(self, src: SwitchId, dst: SwitchId, flow_key: object) -> Path:
         """Deterministic hash-based pick among the pair's paths."""
-        options = self.paths(src, dst)
-        digest = zlib.crc32(repr((src, dst, flow_key)).encode())
-        return options[digest % len(options)]
+        return select_path(self.paths(src, dst), flow_key)
 
     def pairs(self) -> List[Tuple[SwitchId, SwitchId]]:
         return list(self._paths)

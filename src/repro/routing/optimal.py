@@ -67,11 +67,6 @@ class OptimalRoutes:
     def as_sdn_program(self) -> SdnProgram:
         return SdnProgram.compile(self.as_routing_table())
 
-    def max_paths_per_pair(self) -> int:
-        if not self.pairs:
-            return 0
-        return max(len(w.paths) for w in self.pairs.values())
-
 
 def compile_optimal_routes(
     net: Network, workload: Iterable[Commodity]

@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.controller import Controller
 from repro.core.design import FlatTreeDesign
-from repro.core.failures import FailureSet, Leg, materialize_with_failures
+from repro.core.failures import FailureSet, Leg
 from repro.core.flattree import FlatTree
 from repro.core.reconfigure import MEMS_OPTICAL, Technology
 from repro.errors import ReproError
@@ -319,7 +319,7 @@ def _run_arm(arm: str, *, k: int, seed: int, duration: float,
     # every arm — what differs is whether converters were re-programmed
     # around it (heal) and/or the fabric was converted (reconvert).
     pristine = FlatTree(FlatTreeDesign.for_fat_tree(k)).materialize()
-    final = materialize_with_failures(controller.flattree, failures)
+    final = controller.flattree.materialize(failures=failures)
     stranded = ft.params.num_servers - len(list(final.servers()))
     rng = random.Random(seed * 31 + 5)
     candidates = sorted(set(range(ft.params.num_servers)) - {victim_server})

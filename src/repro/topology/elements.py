@@ -60,11 +60,6 @@ SwitchId = Union[CoreSwitch, AggSwitch, EdgeSwitch, PlainSwitch]
 ServerId = int
 
 
-def switch_kind(node: SwitchId) -> str:
-    """Return the layer/kind discriminant of a switch node."""
-    return node.kind
-
-
 class Network:
     """A switch fabric with attached servers and port accounting.
 

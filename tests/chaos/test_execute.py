@@ -39,7 +39,7 @@ class TestCleanPath:
     def test_timeline_byte_identical_to_schedule(self, controller):
         """With chaos off, execute() IS schedule(): same instants."""
         ref, before, plan = reference_plan()
-        sched = schedule(plan, before, pairs=ref.flattree.pairs)
+        sched = schedule(plan, before)
         report = controller.execute_mode(Mode.GLOBAL_RANDOM, start=3.0)
         assert report.success
         assert report.timeline() == sched.batch_windows(3.0)
@@ -151,8 +151,7 @@ class TestRollback:
     def test_rollback_in_later_batch_keeps_prefix(self, controller):
         """Batches before the rollback stay committed (partial state)."""
         ref, before, plan = reference_plan()
-        sched = schedule(plan, before, pairs=ref.flattree.pairs,
-                         max_batch=16)
+        sched = schedule(plan, before, max_batch=16)
         assert sched.num_batches >= 2
         victim = sorted(sched.batches[1])[0]
         report = controller.execute_mode(

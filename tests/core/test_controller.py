@@ -66,6 +66,39 @@ class TestConversionPlans:
         controller.apply_mode(Mode.GLOBAL_RANDOM)
         assert controller.network is not first
 
+    def test_layout_change_builds_the_network_once(self, controller,
+                                                    monkeypatch):
+        before = controller.network
+        builds = []
+        real = FlatTree.materialize
+
+        def counting(self, *args, **kwargs):
+            builds.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(FlatTree, "materialize", counting)
+        controller.apply_layout(
+            proportional_layout(controller.flattree.params, 0.5))
+        assert controller.network is not before
+        assert len(builds) == 1
+
+    def test_plan_under_failure_diffs_like_with_like(self):
+        """Links a plan brings up exist in the network it leaves."""
+        from repro.chaos import ChaosEvent, ChaosSchedule
+        from repro.core.converter import BLADE_A, ConverterId
+        from repro.core.failures import Leg
+
+        controller = Controller(FlatTree(FlatTreeDesign.for_fat_tree(4)))
+        dead = ConverterId(pod=0, blade=BLADE_A, row=0, edge=0)
+        chaos = ChaosSchedule(events=(ChaosEvent.leg_fail(0.0, dead,
+                                                          Leg.CORE),))
+        controller.execute_mode(Mode.GLOBAL_RANDOM, chaos=chaos)
+        assert controller.degraded
+        plan = controller.apply_mode(Mode.CLOS)
+        assert len(plan.links_added) == 15
+        for u, v in plan.links_added:
+            assert controller.network.fabric.has_edge(u, v)
+
 
 class TestRouting:
     def test_clos_uses_two_level(self, controller):

@@ -16,7 +16,8 @@ from repro.errors import ConfigurationError
 from repro.topology.elements import AggSwitch, CoreSwitch, EdgeSwitch
 
 
-def make_converter(blade=BLADE_A, peer=None, pod=0, row=0, edge=0, server=1):
+def make_converter(blade=BLADE_A, peer=None, pod=0, row=0, edge=0, server=1,
+                   config=ConverterConfig.DEFAULT):
     return Converter(
         cid=ConverterId(pod, blade, row, edge),
         core=CoreSwitch(10 + pod),
@@ -24,6 +25,7 @@ def make_converter(blade=BLADE_A, peer=None, pod=0, row=0, edge=0, server=1):
         edge=EdgeSwitch(pod, edge),
         server=server,
         peer=peer,
+        config=config,
     )
 
 
@@ -80,8 +82,8 @@ class TestOwnLinks:
         assert ("attach", conv.server, conv.agg) in links
 
     def test_side_relocates_server_to_core(self):
-        conv = make_converter(BLADE_B, peer=ConverterId(1, BLADE_B, 0, 3))
-        conv.config = ConverterConfig.SIDE
+        conv = make_converter(BLADE_B, peer=ConverterId(1, BLADE_B, 0, 3),
+                              config=ConverterConfig.SIDE)
         links = conv.own_links()
         assert links == [("attach", conv.server, conv.core)]
 
@@ -93,12 +95,12 @@ class TestOwnLinks:
 
 class TestPairLinks:
     def make_pair(self, left_config, right_config):
-        left = make_converter(BLADE_B, pod=1, edge=0, server=5)
-        right = make_converter(BLADE_B, pod=0, edge=3, server=9)
-        left.peer = right.cid
-        right.peer = left.cid
-        left.config = left_config
-        right.config = right_config
+        left_id = ConverterId(1, BLADE_B, 0, 0)
+        right_id = ConverterId(0, BLADE_B, 0, 3)
+        left = make_converter(BLADE_B, peer=right_id, pod=1, edge=0,
+                              server=5, config=left_config)
+        right = make_converter(BLADE_B, peer=left_id, pod=0, edge=3,
+                               server=9, config=right_config)
         return left, right
 
     def test_side_gives_peer_wise_links(self):

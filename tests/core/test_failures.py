@@ -6,15 +6,9 @@ import pytest
 
 from repro.core.controller import Controller
 from repro.core.conversion import Mode, convert, mode_configs
-from repro.core.converter import ConverterConfig
+from repro.core.converter import CIRCUITS, ConverterConfig
 from repro.core.design import FlatTreeDesign
-from repro.core.failures import (
-    FailureSet,
-    Leg,
-    heal,
-    materialize_with_failures,
-    surviving_own_links,
-)
+from repro.core.failures import FailureSet, Leg, heal
 from repro.core.flattree import FlatTree
 from repro.topology.elements import CoreSwitch
 from repro.topology.stats import is_connected
@@ -46,33 +40,59 @@ class TestFailureSet:
 
 
 class TestSurvivingLinks:
+    """The circuit table decides which circuits a failure set kills."""
+
     def test_no_failures_full_links(self, ft):
         conv = ft.converters[first_converter(ft)]
-        links = surviving_own_links(conv, ConverterConfig.DEFAULT, FailureSet())
+        links = conv.own_links(ConverterConfig.DEFAULT, FailureSet())
         assert len(links) == 2
 
     def test_dead_core_leg_kills_ac_circuit(self, ft):
         cid = first_converter(ft)
         conv = ft.converters[cid]
         failures = FailureSet.of_legs((cid, Leg.CORE))
-        links = surviving_own_links(conv, ConverterConfig.DEFAULT, failures)
+        links = conv.own_links(ConverterConfig.DEFAULT, failures)
         assert links == [("attach", conv.server, conv.edge)]
 
     def test_dead_edge_leg_strands_server_in_default(self, ft):
         cid = first_converter(ft)
         conv = ft.converters[cid]
         failures = FailureSet.of_legs((cid, Leg.EDGE))
-        links = surviving_own_links(conv, ConverterConfig.DEFAULT, failures)
+        links = conv.own_links(ConverterConfig.DEFAULT, failures)
         assert all(link[0] != "attach" for link in links)
         # ... but LOCAL keeps the server alive through the agg leg.
-        links = surviving_own_links(conv, ConverterConfig.LOCAL, failures)
+        links = conv.own_links(ConverterConfig.LOCAL, failures)
         assert ("attach", conv.server, conv.agg) in links
+
+    def test_table_names_every_circuit_once(self):
+        """Every config attaches the server exactly once (heal's score
+        counts attachments); only paired configs drive the bundle."""
+        for config, circuits in CIRCUITS.items():
+            side = [c for c in circuits if c.side]
+            assert bool(side) == (config in (ConverterConfig.SIDE,
+                                             ConverterConfig.CROSS))
+            assert [c.a for c in circuits].count(Leg.SERVER) == 1
+            for circuit in circuits:
+                assert Leg.SIDE not in (circuit.a, circuit.b)
+                assert circuit.side or circuit.a is not circuit.b
+
+    def test_dead_side_leg_darkens_bundle_for_both_ends(self, ft):
+        from repro.core.conversion import mode_configs
+        from repro.core.converter import pair_links
+
+        configs = mode_configs(ft, Mode.GLOBAL_RANDOM)
+        left, right = ft.pairs[0]
+        pair = ft.converters[left], ft.converters[right]
+        assert len(pair_links(*pair, configs, FailureSet())) == 2
+        for dead in (left, right):
+            failures = FailureSet.of_legs((dead, Leg.SIDE))
+            assert pair_links(*pair, configs, failures) == []
 
 
 class TestMaterializeWithFailures:
     def test_no_failures_matches_materialize(self, ft):
         ft.set_configs(mode_configs(ft, Mode.GLOBAL_RANDOM))
-        degraded = materialize_with_failures(ft, FailureSet())
+        degraded = ft.materialize(failures=FailureSet())
         normal = ft.materialize()
         assert set(degraded.fabric.edges()) == set(normal.fabric.edges())
         assert degraded.num_servers == normal.num_servers
@@ -81,19 +101,19 @@ class TestMaterializeWithFailures:
         cid = first_converter(ft)
         conv = ft.converters[cid]
         failures = FailureSet.of_legs((cid, Leg.EDGE))
-        degraded = materialize_with_failures(ft, failures)
+        degraded = ft.materialize(failures=failures)
         assert conv.server not in set(degraded.servers())
 
     def test_dead_switch_removed(self, ft):
         failures = FailureSet(switches=frozenset({CoreSwitch(3)}))
-        degraded = materialize_with_failures(ft, failures)
+        degraded = ft.materialize(failures=failures)
         assert CoreSwitch(3) not in set(degraded.switches())
         assert is_connected(degraded)
 
     def test_dead_direct_cable_removed(self, ft):
         u, v = ft._direct_cables[0]
         failures = FailureSet(cables=frozenset({frozenset((u, v))}))
-        degraded = materialize_with_failures(ft, failures)
+        degraded = ft.materialize(failures=failures)
         normal = ft.materialize()
         assert degraded.capacity(u, v) == normal.capacity(u, v) - 1
 
@@ -106,7 +126,7 @@ class TestHeal:
         assignment = heal(ft, failures)
         assert assignment[cid] is ConverterConfig.LOCAL
         ft.set_configs(assignment)
-        degraded = materialize_with_failures(ft, failures)
+        degraded = ft.materialize(failures=failures)
         assert ft.converters[cid].server in set(degraded.servers())
 
     def test_heal_is_stable_without_failures(self, ft):
@@ -134,7 +154,7 @@ class TestHeal:
             *[(cid, Leg.CORE) for cid in victims]
         )
         ft.set_configs(heal(ft, failures))
-        degraded = materialize_with_failures(ft, failures)
+        degraded = ft.materialize(failures=failures)
         # A dead CORE leg still leaves agg/edge legs; every server must
         # therefore be reattached somewhere.
         assert degraded.num_servers == ft.params.num_servers
@@ -148,7 +168,7 @@ class TestControllerRecover:
         failures = FailureSet.of_legs((cid, Leg.SIDE))
         plan = controller.recover(failures)
         assert plan.converter_count >= 2  # the pair moves together
-        degraded = materialize_with_failures(controller.flattree, failures)
+        degraded = controller.flattree.materialize(failures=failures)
         assert is_connected(degraded)
         assert degraded.num_servers == controller.flattree.params.num_servers
 
@@ -163,7 +183,7 @@ class TestFailureSetValidation:
         ghost = ConverterId(pod=99, blade="A", row=0, edge=0)
         failures = FailureSet.of_legs((ghost, Leg.CORE))
         with pytest.raises(ConfigurationError, match="unknown converter"):
-            materialize_with_failures(ft, failures)
+            ft.materialize(failures=failures)
         with pytest.raises(ConfigurationError, match="99"):
             heal(ft, failures)
 
@@ -183,7 +203,7 @@ class TestFailureSetValidation:
             frozenset((CoreSwitch(0), CoreSwitch(10_000)))
         }))
         with pytest.raises(ConfigurationError, match="dead cable"):
-            materialize_with_failures(ft, failures)
+            ft.materialize(failures=failures)
 
     def test_known_ids_pass(self, ft):
         cid = first_converter(ft)
@@ -209,7 +229,7 @@ class TestHealSideBundle:
         assert assignment[left] not in PAIRED_CONFIGS
         assert assignment[right] not in PAIRED_CONFIGS
         ft.set_configs(assignment)
-        degraded = materialize_with_failures(ft, failures)
+        degraded = ft.materialize(failures=failures)
         servers = set(degraded.servers())
         assert ft.converters[left].server in servers
         assert ft.converters[right].server in servers
@@ -238,7 +258,7 @@ class TestHealSideBundle:
         assert left in outcome.unrecoverable
         assert right not in outcome.unrecoverable
         ft.set_configs(outcome.assignment)
-        degraded = materialize_with_failures(ft, failures)
+        degraded = ft.materialize(failures=failures)
         assert ft.converters[left].server not in set(degraded.servers())
         assert is_connected(degraded)
 

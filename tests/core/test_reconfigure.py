@@ -14,7 +14,6 @@ from repro.core.reconfigure import (
     PACKET_CHIP,
     Schedule,
     Technology,
-    audit,
     disruption,
     schedule,
 )
@@ -133,16 +132,27 @@ class TestBatchWindows:
         assert sched.batch_windows() == []
 
 
-class TestAudit:
-    def test_ledger_matches_blink_window(self, converted):
-        """The event-level ledger reproduces the batch arithmetic."""
-        from repro.monitor import NetworkMonitor
+def monitored_conversion(controller, mode, **kwargs):
+    """Execute a conversion with a monitor; return (report, monitor)."""
+    from repro.monitor import NetworkMonitor
 
-        controller, before, plan = converted
-        sched = schedule(plan, before, technology=MEMS_OPTICAL)
-        monitor = NetworkMonitor(before)
-        finish = audit(sched, monitor, start=1.0)
-        assert finish == pytest.approx(1.0 + sched.total_time)
+    monitor = NetworkMonitor(controller.network)
+    report = controller.execute_mode(mode, monitor=monitor, **kwargs)
+    return report, monitor
+
+
+class TestAudit:
+    """The downtime ledger :func:`execute` writes from its schedule."""
+
+    def test_ledger_matches_blink_window(self):
+        """The event-level ledger reproduces the batch arithmetic."""
+        controller = Controller(FlatTree(FlatTreeDesign.for_fat_tree(8)))
+        report, monitor = monitored_conversion(
+            controller, Mode.GLOBAL_RANDOM, technology=MEMS_OPTICAL,
+            start=1.0,
+        )
+        sched = report.schedule
+        assert report.finish == pytest.approx(1.0 + sched.total_time)
         downtime = monitor.downtime()
         assert downtime
         for dark in downtime.values():
@@ -152,20 +162,35 @@ class TestAudit:
             len(downtime) * sched.blink_window
         )
 
-    def test_parallel_cables_blink_once_per_batch(self, converted):
-        """Duplicate (u, v) pairs in one batch yield one ledger window."""
-        from repro.monitor import NetworkMonitor
+    def test_parallel_cables_blink_once_per_batch(self):
+        """Parallel cables of one bundle in a batch yield one window."""
+        from repro.core.wiring import profiled_pattern
+        from repro.topology.clos import ClosParams
 
-        _controller, before, plan = converted
-        u, v = plan.links_removed[0]
-        sched = Schedule(technology=MEMS_OPTICAL,
-                         batches=[["c0"]],
-                         dark_links=[[(u, v), (u, v), (v, u)]])
-        monitor = NetworkMonitor(before)
-        audit(sched, monitor)
-        assert monitor.dark_windows(u, v) == [
-            pytest.approx(w) for w in sched.batch_windows()
-        ]
+        # A 2:1 oversubscribed plant: converting global-random back to
+        # Clos blinks parallel aggregation-core cables in one batch.
+        params = ClosParams(pods=6, d=4, r=2, h=4, servers_per_edge=4)
+        design = FlatTreeDesign(params=params, m=1, n=1,
+                                pattern=profiled_pattern(params, 1),
+                                ring=True)
+        controller = Controller(FlatTree(design))
+        controller.execute_mode(Mode.GLOBAL_RANDOM)
+        report, monitor = monitored_conversion(controller, Mode.CLOS)
+        sched = report.schedule
+        windows = sched.batch_windows()
+        expected = {}
+        parallel = 0
+        for window, links in zip(windows, sched.dark_links):
+            keys = [frozenset(link) for link in links]
+            parallel += len(keys) - len(set(keys))
+            for key in dict.fromkeys(keys):
+                expected.setdefault(key, []).append(window)
+        assert parallel > 0
+        for key, batch_windows in expected.items():
+            u, v = tuple(key)
+            assert monitor.dark_windows(u, v) == [
+                pytest.approx(w) for w in batch_windows
+            ]
 
 
 class TestDisruption:
@@ -196,33 +221,28 @@ class TestDisruption:
 
 
 class TestAuditEdgeCases:
-    """Satellite: empty plans / zero blink must not ledger anything."""
+    """Empty plans and zero blink must not ledger anything."""
 
     def test_empty_plan_empty_ledger(self):
-        from repro.monitor import NetworkMonitor
-        from repro.topology.elements import Network, PlainSwitch
-
-        net = Network("tiny")
-        net.add_switch(PlainSwitch(0), 4)
-        monitor = NetworkMonitor(net)
-        sched = Schedule(technology=MEMS_OPTICAL)
-        finish = audit(sched, monitor, start=4.0)
-        assert finish == 4.0
+        controller = Controller(FlatTree(FlatTreeDesign.for_fat_tree(4)))
+        report, monitor = monitored_conversion(controller, Mode.CLOS,
+                                               start=4.0)
+        assert report.finish == 4.0
         assert monitor.downtime() == {}
         assert monitor.open_dark_links() == []
 
-    def test_zero_blink_window_empty_ledger(self, converted):
+    def test_zero_blink_window_empty_ledger(self):
         """A zero-delay technology must not record [t, t] windows."""
-        from repro.monitor import NetworkMonitor
-
-        _controller, before, plan = converted
         instant = Technology("instant", switch_delay=0.0,
                              control_overhead=5e-3)
-        sched = schedule(plan, before, technology=instant)
+        controller = Controller(FlatTree(FlatTreeDesign.for_fat_tree(8)))
+        report, monitor = monitored_conversion(
+            controller, Mode.GLOBAL_RANDOM, technology=instant,
+        )
+        sched = report.schedule
+        assert sched.num_batches > 0
         assert sched.blink_window == 0.0
-        monitor = NetworkMonitor(before)
-        finish = audit(sched, monitor, start=0.0)
-        assert finish == pytest.approx(sched.total_time)
+        assert report.finish == pytest.approx(sched.total_time)
         assert monitor.downtime() == {}
         assert monitor.total_dark_time() == 0.0
 
@@ -231,7 +251,7 @@ class TestPairAtomicBatches:
     def test_pairs_never_split_across_batches(self, converted):
         controller, before, plan = converted
         pairs = controller.flattree.pairs
-        sched = schedule(plan, before, max_batch=2, pairs=pairs)
+        sched = schedule(plan, before, max_batch=2)
         position = {}
         for index, batch in enumerate(sched.batches):
             for cid in batch:
@@ -246,12 +266,27 @@ class TestPairAtomicBatches:
         scheduled = [cid for batch in sched.batches for cid in batch]
         assert sorted(scheduled) == sorted(plan.config_changes)
 
-    def test_no_pairs_identical_to_historical(self, converted):
-        _controller, before, plan = converted
-        with_none = schedule(plan, before, max_batch=16)
-        explicit = schedule(plan, before, max_batch=16, pairs=())
-        assert with_none.batches == explicit.batches
-        assert with_none.dark_links == explicit.dark_links
+
+
+    @pytest.mark.parametrize("k", [4, 8, 12])
+    @pytest.mark.parametrize("max_batch", [16, 64])
+    @pytest.mark.parametrize("mode", [Mode.GLOBAL_RANDOM, Mode.LOCAL_RANDOM])
+    def test_scheduled_batches_commit_on_a_fresh_plant(self, k, max_batch,
+                                                        mode):
+        """The batches `flattree schedule` reports are legal commits."""
+        design = FlatTreeDesign.for_fat_tree(k)
+        controller = Controller(FlatTree(design))
+        before = controller.network
+        plan = controller.apply_mode(mode)
+        sched = schedule(plan, before, max_batch=max_batch)
+        fresh = FlatTree(design)
+        for batch in sched.batches:
+            fresh.set_configs(
+                {cid: plan.config_changes[cid][1] for cid in batch})
+        assert fresh.configs() == controller.flattree.configs()
+        report = Controller(FlatTree(design)).execute_mode(
+            mode, max_batch=max_batch)
+        assert report.schedule.batches == sched.batches
 
 
 class TestRetryPolicy:

@@ -103,13 +103,18 @@ telemetry-smoke:
 	rm -f telemetry-smoke.jsonl
 
 # Exercise the network monitoring plane on a k=4 all-to-all and validate
-# the link_sample/link_down/link_up events it exports.
+# the link_sample/link_down/link_up events it exports, then print the
+# monitored FCT report under two string-hash seeds: the downtime ledger
+# and link labels must not depend on PYTHONHASHSEED.
 monitor-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli --telemetry=monitor-smoke.jsonl monitor --k 4 --pattern alltoall
 	PYTHONPATH=src $(PYTHON) -m repro.cli --telemetry=monitor-smoke-fct.jsonl fct --ks 4 --flows 12 --monitor
 	$(PYTHON) tools/check_telemetry.py monitor-smoke.jsonl --min-names 4
 	$(PYTHON) tools/check_telemetry.py monitor-smoke-fct.jsonl --min-names 10
-	rm -f monitor-smoke.jsonl monitor-smoke-fct.jsonl
+	PYTHONHASHSEED=1 PYTHONPATH=src $(PYTHON) -m repro.cli fct --ks 4 --flows 24 --monitor > monitor-smoke-a.txt
+	PYTHONHASHSEED=2 PYTHONPATH=src $(PYTHON) -m repro.cli fct --ks 4 --flows 24 --monitor > monitor-smoke-b.txt
+	cmp monitor-smoke-a.txt monitor-smoke-b.txt
+	rm -f monitor-smoke.jsonl monitor-smoke-fct.jsonl monitor-smoke-a.txt monitor-smoke-b.txt
 
 # Run a small fixed-seed chaos sweep twice: the recovery events must
 # pass the wire contract and the sweep table must be deterministic.

@@ -330,15 +330,18 @@ def _link_diff(
     b, a = multiset(before), multiset(after)
     removed: List[Tuple[SwitchId, SwitchId]] = []
     added: List[Tuple[SwitchId, SwitchId]] = []
-    # Sorted so the cable diff (and any batch schedule built from it)
-    # is independent of PYTHONHASHSEED; repr keys because the switch
+    # Sorted, and each cable oriented by the same order, so the cable
+    # diff (and any batch schedule or link label built from it) is
+    # independent of PYTHONHASHSEED; repr keys because the switch
     # NamedTuple variants are not mutually orderable.
     for key in sorted(set(b) | set(a),
                       key=lambda pair: sorted(repr(s) for s in pair)):
         delta = a.get(key, 0) - b.get(key, 0)
-        pair = tuple(key)
+        if not delta:
+            continue
+        pair = tuple(sorted(key, key=repr))
         if delta < 0:
-            removed.extend([pair] * (-delta))
-        elif delta > 0:
+            removed.extend([pair] * -delta)
+        else:
             added.extend([pair] * delta)
     return removed, added

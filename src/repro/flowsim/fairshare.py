@@ -3,9 +3,9 @@
 The paper evaluates throughput with an optimal-routing LP; real networks
 run flows over concrete paths with congestion control approximating
 max-min fairness.  This module provides the classic progressive-filling
-algorithm: repeatedly find the most-constrained link, freeze the rates of
-the flows crossing it at their fair share, remove the link's residual
-capacity, and continue.
+algorithm: repeatedly find the most-constrained links, freeze the rates
+of the flows crossing them at their fair share, remove those rates from
+every link the flows cross, and continue.
 
 It serves as a *routing-sensitive* second opinion next to the LP: the
 same workload evaluated over ECMP or KSP path choices yields a rate
@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ReproError
 from repro.routing.base import Path
@@ -93,98 +95,82 @@ def max_min_fair_rates(
     """Progressive filling over directed link capacities.
 
     Each fabric cable contributes its capacity independently per
-    direction (full-duplex, consistent with the MCF model).  Runs in
-    O(links x flows) in the worst case — fine for the tens of thousands
-    of flows the examples and benches use.
+    direction (full-duplex, consistent with the MCF model).  The filling
+    runs as numpy array operations over the network's
+    :class:`~repro.topology.elements.LinkIndex`: each round costs a
+    fixed number of passes over the still-active flows' (flow, link)
+    pairs, and there is one round per distinct rate level, not one per
+    bottleneck link.
 
     ``monitor`` (a :class:`repro.monitor.NetworkMonitor`, or anything
     with ``on_allocation``) receives the per-directed-link rates and
     active-flow counts of this allocation, stamped at simulated time
     ``now``; ``None`` skips all monitoring work.
     """
-    capacity: Dict[LinkKey, float] = {}
-    for u, v, cap in net.edge_list():
-        if cap <= 0:
-            raise ReproError(
-                f"link {u!r} - {v!r} has non-positive capacity {cap}; "
-                f"flows crossing it could never be allocated a rate"
-            )
-        capacity[(u, v)] = cap
-        capacity[(v, u)] = cap
-
-    flows_on: Dict[LinkKey, List[RoutedFlow]] = {}
-    for flow in flows:
-        flow.path.validate_on(net)
-        for u, v in flow.path.edges():
-            flows_on.setdefault((u, v), []).append(flow)
-
-    rates: Dict[int, float] = {}
-    active: Dict[int, RoutedFlow] = {f.flow_id: f for f in flows}
-    if len(active) != len(flows):
+    index = net.link_index()
+    links = [index.path_links(flow.path.nodes) for flow in flows]
+    ids = [flow.flow_id for flow in flows]
+    if len(set(ids)) != len(ids):
         raise ReproError("flow ids must be unique")
-    remaining = dict(capacity)
-    active_count: Dict[LinkKey, int] = {
-        link: len(fs) for link, fs in flows_on.items()
-    }
-
-    # Zero-hop flows (endpoints on one switch) never cross the fabric;
-    # freeze them immediately or they would keep the loop alive forever.
-    for flow in list(active.values()):
-        if flow.path.hops == 0:
-            rate = flow.demand if flow.demand is not None else math.inf
-            _freeze(flow, rate, rates, active, remaining, active_count)
-
-    # Demand-capped flows that the fabric never saturates finish at their
-    # demand; handle them inside the loop via the fair-share comparison.
-    while active:
-        # Most-constrained link: minimal fair share among loaded links.
-        best_link = None
-        best_share = math.inf
-        for link, count in active_count.items():
-            if count <= 0:
-                continue
-            share = remaining[link] / count
-            if share < best_share:
-                best_share = share
-                best_link = link
-        # Demand ceilings below the bottleneck share freeze first.
-        capped = [
-            f for f in active.values()
-            if f.demand is not None and f.demand <= best_share
-        ]
-        if capped:
-            for flow in capped:
-                _freeze(flow, flow.demand, rates, active, remaining,
-                        active_count)
-            continue
-        if best_link is None:
-            # Remaining flows cross no loaded link: unconstrained.
-            for flow in list(active.values()):
-                rate = flow.demand if flow.demand is not None else math.inf
-                _freeze(flow, rate, rates, active, remaining, active_count)
-            break
-        for flow in list(flows_on.get(best_link, [])):
-            if flow.flow_id in active:
-                _freeze(flow, best_share, rates, active, remaining,
-                        active_count)
+    demand = None
+    if any(flow.demand is not None for flow in flows):
+        demand = np.array(
+            [math.inf if f.demand is None else f.demand for f in flows],
+            dtype=float,
+        )
+    rates = dict(zip(ids, _water_fill(index.capacity, links, demand).tolist()))
     if monitor is not None:
         monitor.on_allocation(now, *link_allocation(flows, rates))
     return FairShareResult(rates=rates)
 
 
-def _freeze(
-    flow: RoutedFlow,
-    rate: float,
-    rates: Dict[int, float],
-    active: Dict[int, "RoutedFlow"],
-    remaining: Dict[LinkKey, float],
-    active_count: Dict[LinkKey, int],
-) -> None:
-    rates[flow.flow_id] = rate
-    del active[flow.flow_id]
-    if not math.isfinite(rate):
-        return
-    for u, v in flow.path.edges():
-        key = (u, v)
-        remaining[key] = max(0.0, remaining[key] - rate)
-        active_count[key] -= 1
+def _water_fill(
+    capacity: np.ndarray,
+    links: List[np.ndarray],
+    demand: Optional[np.ndarray],
+) -> np.ndarray:
+    """Max-min rates of flows crossing ``links`` (ids into ``capacity``).
+
+    ``demand`` holds each flow's rate ceiling (``inf`` for an elastic
+    flow); ``None`` means every flow is elastic.  Each round finds the
+    lowest fair share ``level`` among the loaded links.  Active flows
+    whose demand is at most ``level`` freeze at their demand; otherwise
+    every flow crossing a link whose share equals ``level`` freezes at
+    ``level``.  Frozen flows give their rate back off every link they
+    cross and leave the incidence.  Zero-hop flows never cross the
+    fabric: their rate is their demand.
+    """
+    n = len(links)
+    hops = np.fromiter(map(len, links), dtype=np.intp, count=n)
+    # Active flows hold nan until they freeze.
+    rates = np.where(hops == 0, math.inf if demand is None else demand,
+                     math.nan)
+    if not hops.any():
+        return rates
+    # One entry per (flow, link) pair, links renumbered densely.  An
+    # entry leaves when its flow freezes, so every link an entry names
+    # carries at least one active flow.
+    crossings = np.concatenate(links)
+    owner = np.repeat(np.arange(n), hops)
+    count = np.bincount(crossings, minlength=capacity.size)
+    used = np.flatnonzero(count)
+    slot = np.searchsorted(used, crossings)
+    count = count[used]
+    remaining = capacity[used]
+    while True:
+        share = remaining[slot] / count[slot]
+        level = share.min()
+        hit = None if demand is None else demand[owner] <= level
+        if hit is not None and hit.any():
+            rates[owner[hit]] = demand[owner[hit]]
+        else:
+            rates[owner[share == level]] = level
+            hit = rates[owner] == level
+        if hit.all():
+            return rates
+        crossed = slot[hit]
+        count -= np.bincount(crossed, minlength=used.size)
+        remaining -= np.bincount(crossed, weights=rates[owner[hit]],
+                                 minlength=used.size)
+        np.maximum(remaining, 0.0, out=remaining)
+        owner, slot = owner[~hit], slot[~hit]

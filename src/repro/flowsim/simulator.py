@@ -14,6 +14,7 @@ times change when the controller converts the topology under load.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -175,12 +176,11 @@ class FlowSimulator:
         if len(set(ids)) != len(ids):
             raise ReproError("flow ids must be unique")
 
-        arrivals = sorted(flows, key=lambda f: (f.arrival, f.flow_id))
-        pending = list(arrivals)
-        topo = sorted(events, key=lambda e: e.t)
+        pending = deque(sorted(flows, key=lambda f: (f.arrival, f.flow_id)))
+        topo = deque(sorted(events, key=lambda e: e.t))
         active: Dict[int, FlowSpec] = {}
         remaining: Dict[int, float] = {}
-        paths: Dict[int, Path] = {}
+        routed: Dict[int, RoutedFlow] = {}
         result = SimulationResult()
         budget = max_events if max_events is not None else (
             10 * len(flows) + 10 * len(topo) + 100
@@ -188,13 +188,18 @@ class FlowSimulator:
 
         with obs.span("flowsim.run", flows=len(flows), net=self.net.name), \
                 obs.timer("flowsim.run_s"):
-            self._event_loop(pending, active, remaining, paths, result,
+            self._event_loop(pending, active, remaining, routed, result,
                              budget, topo)
         return result
 
-    def _event_loop(self, pending, active, remaining, paths, result,
-                    budget, topo=None) -> None:
-        topo = list(topo or [])
+    def _event_loop(self, pending, active, remaining, routed, result,
+                    budget, topo) -> None:
+        """Advance the fluid clock event by event.
+
+        ``pending`` and ``topo`` are deques in time order; ``routed``
+        holds each active flow's :class:`RoutedFlow`, in admission
+        order, from its admission or latest reroute.
+        """
         now = 0.0
         events = 0
         recomputes = 0
@@ -209,16 +214,16 @@ class FlowSimulator:
             # Apply due topology changes first: router swaps must
             # precede this instant's admissions and rate recomputation.
             while topo and topo[0].t <= now + 1e-12:
-                self._apply_topology(topo.pop(0), now, active, remaining,
-                                     paths, result)
+                self._apply_topology(topo.popleft(), now, active, remaining,
+                                     routed, result)
             # Admit all arrivals at or before `now`.
             while pending and pending[0].arrival <= now + 1e-12:
-                spec = pending.pop(0)
+                spec = pending.popleft()
                 path = self.router(spec.src_server, spec.dst_server,
                                    spec.flow_id)
                 active[spec.flow_id] = spec
                 remaining[spec.flow_id] = spec.size
-                paths[spec.flow_id] = path
+                routed[spec.flow_id] = RoutedFlow(spec.flow_id, path)
             if not active:
                 if not pending:
                     break  # a topology event failed the last flows
@@ -229,7 +234,7 @@ class FlowSimulator:
 
             rates = max_min_fair_rates(
                 self.net,
-                [RoutedFlow(fid, paths[fid]) for fid in active],
+                list(routed.values()),
                 monitor=self.monitor,
                 now=now,
             ).rates
@@ -261,13 +266,14 @@ class FlowSimulator:
             now += step
             for fid in finished:
                 spec = active.pop(fid)
+                path = routed.pop(fid).path
                 result.completed.append(
                     CompletedFlow(
                         spec=spec,
                         start=spec.arrival,
                         finish=now,
-                        path_hops=paths[fid].hops,
-                        path=paths[fid],
+                        path_hops=path.hops,
+                        path=path,
                     )
                 )
                 del remaining[fid]
@@ -284,7 +290,7 @@ class FlowSimulator:
             obs.incr("flowsim.flows_failed", len(result.failed))
 
     def _apply_topology(self, event: TopologyEvent, now, active, remaining,
-                        paths, result) -> None:
+                        routed, result) -> None:
         """Swap in a new network, salvaging active flows.
 
         Flows whose path lost a link are re-routed through the (new)
@@ -298,7 +304,7 @@ class FlowSimulator:
             self.monitor.rebind(event.net)
         obs.incr("flowsim.topology_events")
         for fid in sorted(active):
-            if _path_alive(paths[fid], self.net):
+            if _path_alive(routed[fid].path, self.net):
                 continue
             spec = active[fid]
             try:
@@ -313,11 +319,11 @@ class FlowSimulator:
                     remaining=remaining.pop(fid),
                     reason=str(exc) or "no surviving path",
                 ))
-                del paths[fid]
+                del routed[fid]
                 obs.event("flowsim.flow_rerouted", flow_id=fid,
                           outcome="failed", t=now)
                 continue
-            paths[fid] = path
+            routed[fid] = RoutedFlow(fid, path)
             result.rerouted += 1
             obs.incr("flowsim.flows_rerouted")
             obs.event("flowsim.flow_rerouted", flow_id=fid,

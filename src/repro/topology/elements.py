@@ -19,11 +19,26 @@ though both are 2-field tuples at heart.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import networkx as nx
+import numpy as np
 
-from repro.errors import PortBudgetError, TopologyError
+from repro.errors import (
+    PortBudgetError,
+    ReproError,
+    RoutingError,
+    TopologyError,
+)
 
 
 class CoreSwitch(NamedTuple):
@@ -87,6 +102,7 @@ class Network:
         self._ports_used: Dict[SwitchId, int] = {}
         self._server_loc: Dict[ServerId, SwitchId] = {}
         self._servers_on: Dict[SwitchId, List[ServerId]] = {}
+        self._link_index: Optional[LinkIndex] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -120,6 +136,7 @@ class Network:
             raise TopologyError(f"self-loop cable on {u!r}")
         self._consume_port(u)
         self._consume_port(v)
+        self._link_index = None
         if self._fabric.has_edge(u, v):
             data = self._fabric[u][v]
             data["capacity"] += capacity
@@ -131,6 +148,7 @@ class Network:
         """Remove one physical cable between ``u`` and ``v``, freeing ports."""
         if not self._fabric.has_edge(u, v):
             raise TopologyError(f"no cable between {u!r} and {v!r}")
+        self._link_index = None
         data = self._fabric[u][v]
         data["mult"] -= 1
         data["capacity"] -= capacity
@@ -267,11 +285,67 @@ class Network:
             (u, v, d["capacity"]) for u, v, d in self._fabric.edges(data=True)
         ]
 
+    def link_index(self) -> "LinkIndex":
+        """The directed-link index of the current fabric.
+
+        Built on first use and kept until a cable is added or removed.
+        """
+        if self._link_index is None:
+            self._link_index = LinkIndex(self)
+        return self._link_index
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<Network {self.name!r}: {self.num_switches} switches, "
             f"{self.num_servers} servers, {self.num_cables} cables>"
         )
+
+
+class LinkIndex:
+    """Dense integer ids for the directed links of one fabric.
+
+    Every cable bundle contributes two directed links, ``(u, v)`` and
+    ``(v, u)``, each with the bundle's full capacity (full duplex).
+    ``ids`` maps a directed link to its id and ``capacity[i]`` is link
+    ``i``'s capacity.  :meth:`path_links` memoizes each path's link ids,
+    so array kernels touch each path's switches once per network.
+    """
+
+    def __init__(self, net: Network) -> None:
+        ids: Dict[Tuple[SwitchId, SwitchId], int] = {}
+        capacity: List[float] = []
+        for u, v, cap in net.edge_list():
+            if cap <= 0:
+                raise ReproError(
+                    f"link {u!r} - {v!r} has non-positive capacity {cap}; "
+                    f"flows crossing it could never be allocated a rate"
+                )
+            ids[(u, v)] = len(capacity)
+            ids[(v, u)] = len(capacity) + 1
+            capacity += (cap, cap)
+        self.ids = ids
+        self.capacity = np.array(capacity, dtype=float)
+        self._paths: Dict[Tuple[SwitchId, ...], np.ndarray] = {}
+
+    def path_links(self, nodes: Tuple[SwitchId, ...]) -> np.ndarray:
+        """Ids of the directed links a switch path crosses, in order.
+
+        Raises :class:`RoutingError` naming the first hop that is not a
+        fabric link.
+        """
+        links = self._paths.get(nodes)
+        if links is None:
+            try:
+                links = np.array([self.ids[hop]
+                                  for hop in zip(nodes, nodes[1:])],
+                                 dtype=np.intp)
+            except KeyError as missing:
+                u, v = missing.args[0]
+                raise RoutingError(
+                    f"path uses non-existent link {u!r} - {v!r}"
+                ) from None
+            self._paths[nodes] = links
+        return links
 
 
 def total_ports(net: Network) -> int:

@@ -47,6 +47,13 @@ class TestConversionPlans:
         for u, v in plan.links_added:
             assert after.fabric.has_edge(u, v)
 
+    def test_changed_cables_oriented_by_repr(self, controller):
+        """Orientation must not follow frozenset (hash-seed) order."""
+        plan = controller.apply_mode(Mode.GLOBAL_RANDOM)
+        cables = plan.links_removed + plan.links_added
+        assert cables
+        assert all(repr(u) < repr(v) for u, v in cables)
+
     def test_partial_reconfiguration_smaller_plan(self, controller):
         controller.apply_mode(Mode.GLOBAL_RANDOM)
         plan = controller.apply_layout(

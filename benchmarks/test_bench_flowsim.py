@@ -25,13 +25,14 @@ from repro.core.conversion import Mode, convert
 from repro.core.design import FlatTreeDesign
 from repro.core.flattree import FlatTree
 from repro.experiments.common import ExperimentResult
+from repro.experiments.fct import hotspot_flows
 from repro.flowsim.fairshare import (
     FairShareResult,
     RoutedFlow,
     link_allocation,
     max_min_fair_rates,
 )
-from repro.flowsim.simulator import FlowSimulator, FlowSpec
+from repro.flowsim.simulator import FlowSimulator
 from repro.routing.ksp import k_shortest_paths
 from repro.topology.elements import Network
 
@@ -43,27 +44,11 @@ SWEEP_FLOWS = (1_000, 10_000, 100_000)
 POOL_PAIRS = 64
 
 
-def cluster_flows(params, rng) -> list:
-    """Unit-size flows from one hotspot plus background pairs."""
-    servers = list(range(params.num_servers))
-    hotspot = rng.choice(servers)
-    specs = []
-    fid = 0
-    for dst in rng.sample([s for s in servers if s != hotspot], FLOWS // 2):
-        specs.append(FlowSpec(fid, hotspot, dst, size=1.0))
-        fid += 1
-    while fid < FLOWS:
-        a, b = rng.sample(servers, 2)
-        specs.append(FlowSpec(fid, a, b, size=1.0))
-        fid += 1
-    return specs
-
-
 def simulate_mode(mode: Mode) -> float:
     design = FlatTreeDesign.for_fat_tree(BENCH_K)
     controller = Controller(FlatTree(design))
     controller.apply_mode(mode)
-    flows = cluster_flows(design.params, random.Random(7))
+    flows = hotspot_flows(design.params.num_servers, FLOWS, random.Random(7))
     simulator = FlowSimulator(controller.network, controller.route)
     return simulator.run(flows).mean_fct
 

@@ -2,7 +2,7 @@
 
 Every case runs the same hot-spot workload — k=8 flat-tree in
 global-random mode, 120 unit flows, half fanning out of one hot
-server (``repro.experiments.fct._hotspot_workload``, seed 7) — and
+server (``repro.experiments.fct.hotspot_flows``, seed 7) — and
 records a baseline series next to an attached one:
 
 * ``monitor`` — a :class:`~repro.monitor.NetworkMonitor` sampling every
@@ -43,7 +43,7 @@ from repro.core.conversion import Mode
 from repro.core.design import FlatTreeDesign
 from repro.core.flattree import FlatTree
 from repro.experiments.common import ExperimentResult
-from repro.experiments.fct import _hotspot_workload
+from repro.experiments.fct import hotspot_flows
 from repro.flowsim.simulator import FlowSimulator
 from repro.monitor import NetworkMonitor
 from repro.obs.sampler import DEFAULT_HZ, SamplingProfiler
@@ -74,8 +74,8 @@ def flowsim_run(monitored=False, profiler=None, sink=None):
     design = FlatTreeDesign.for_fat_tree(BENCH_K)
     controller = Controller(FlatTree(design))
     controller.apply_mode(Mode.GLOBAL_RANDOM)
-    flows = _hotspot_workload(design.params.num_servers, FLOWS,
-                              random.Random(7))
+    flows = hotspot_flows(design.params.num_servers, FLOWS,
+                          random.Random(7))
     monitor = NetworkMonitor(controller.network) if monitored else None
     simulator = FlowSimulator(controller.network, controller.route,
                               monitor=monitor)

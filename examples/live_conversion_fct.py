@@ -2,7 +2,7 @@
 """Flow-level view: what conversion buys running applications.
 
 The paper evaluates capacity with an optimal-routing LP; applications
-experience *flow completion time* under real (k-shortest-paths / ECMP)
+experience *flow completion time* under real (k-shortest-paths)
 routing.  This example runs the fluid flow-level simulator on the same
 hot-spot-heavy workload in Clos mode and in global-random mode and
 compares mean/p99 FCT — the LP's capacity advantage should survive
@@ -19,29 +19,13 @@ Run:  python examples/live_conversion_fct.py
 import random
 
 from repro import Controller, FlatTree, FlatTreeDesign, Mode, obs
-from repro.flowsim import FlowSimulator, FlowSpec
+from repro.experiments.fct import hotspot_flows
+from repro.flowsim import FlowSimulator
 
 K = 8
-HOTSPOT_FLOWS = 60
-BACKGROUND_FLOWS = 60
+#: Half fan out of one hot server, half are random background pairs.
+FLOWS = 120
 SEED = 11
-
-
-def build_workload(params, rng) -> list:
-    """A hot-spot broadcast plus random background pairs, unit sizes."""
-    servers = list(range(params.num_servers))
-    hotspot = rng.choice(servers)
-    flows = []
-    fid = 0
-    others = [s for s in servers if s != hotspot]
-    for dst in rng.sample(others, HOTSPOT_FLOWS):
-        flows.append(FlowSpec(fid, hotspot, dst, size=1.0))
-        fid += 1
-    for _ in range(BACKGROUND_FLOWS):
-        a, b = rng.sample(servers, 2)
-        flows.append(FlowSpec(fid, a, b, size=1.0))
-        fid += 1
-    return flows
 
 
 def simulate(controller: Controller, mode: Mode, flows) -> None:
@@ -60,9 +44,10 @@ def main() -> None:
 
     design = FlatTreeDesign.for_fat_tree(K)
     controller = Controller(FlatTree(design))
-    flows = build_workload(design.params, random.Random(SEED))
-    print(f"workload: {HOTSPOT_FLOWS} hot-spot flows + "
-          f"{BACKGROUND_FLOWS} background flows, unit size each")
+    flows = hotspot_flows(design.params.num_servers, FLOWS,
+                          random.Random(SEED))
+    print(f"workload: {FLOWS // 2} hot-spot flows + "
+          f"{FLOWS - FLOWS // 2} background flows, unit size each")
 
     simulate(controller, Mode.CLOS, flows)
     simulate(controller, Mode.GLOBAL_RANDOM, flows)

@@ -9,8 +9,8 @@ Public API layers:
 * :mod:`repro.core` — the paper's contribution: converter switches,
   flat-tree Pods, Pod-core and inter-Pod wiring, the conversion engine,
   hybrid zones, (m, n) profiling, and the centralized controller;
-* :mod:`repro.routing` — ECMP, k-shortest-paths, two-level fat-tree
-  routing, and pre-computed SDN programs;
+* :mod:`repro.routing` — two-level fat-tree routing, k-shortest-paths,
+  and pre-computed SDN programs;
 * :mod:`repro.mcf` — maximum concurrent multi-commodity flow (exact LP
   and Garg-Könemann approximation), the paper's throughput metric;
 * :mod:`repro.traffic` — cluster workloads and placement policies;

@@ -927,7 +927,7 @@ def _fct_monitor_handler(args) -> int:
 def _monitor_handler(args) -> int:
     import random
 
-    from repro.experiments.fct import _hotspot_workload
+    from repro.experiments.fct import hotspot_flows
     from repro.flowsim.simulator import FlowSimulator, FlowSpec
     from repro.monitor import NetworkMonitor, heatmap_table, hotspot_report
 
@@ -943,7 +943,7 @@ def _monitor_handler(args) -> int:
         flows = [FlowSpec(i, a, b, size=1.0)
                  for i, (a, b) in enumerate(pairs)]
     else:
-        flows = _hotspot_workload(net.num_servers, args.flows or 24, rng)
+        flows = hotspot_flows(net.num_servers, args.flows or 24, rng)
 
     kwargs = {"interval": args.interval}
     if args.retention is not None:

@@ -1,12 +1,5 @@
 """Flat-tree core: converters, Pods, wiring, conversion, control plane."""
 
-from repro.core.adaptive import (
-    AdaptiveController,
-    Recommendation,
-    WorkloadFeatures,
-    classify_workload,
-    recommend,
-)
 from repro.core.controller import Controller, ReconfigurationPlan
 from repro.core.conversion import Mode, convert, hybrid_configs, mode_configs
 from repro.core.converter import (
@@ -57,7 +50,6 @@ from repro.core.reconfigure import (
     disruption,
     schedule,
 )
-from repro.core.state import load_state, save_state
 from repro.core.wiring import (
     PodCoreWiring,
     Slot,
@@ -80,7 +72,6 @@ from repro.core.zones import (
 )
 
 __all__ = [
-    "AdaptiveController",
     "BLADE_A",
     "BLADE_B",
     "BillOfMaterials",
@@ -103,11 +94,7 @@ __all__ = [
     "PodSide",
     "ProfilePoint",
     "ProfileResult",
-    "Recommendation",
     "ReconfigurationPlan",
-    "WorkloadFeatures",
-    "classify_workload",
-    "recommend",
     "Slot",
     "TwoStageDesign",
     "TwoStageFlatTree",
@@ -143,8 +130,6 @@ __all__ = [
     "profiled_pattern",
     "proportional_layout",
     "relative_cost",
-    "save_state",
-    "load_state",
     "schedule",
     "recommended_pattern",
     "recommended_pattern_for_k",

@@ -25,12 +25,6 @@ from repro.experiments.report import (
     generate_report,
     write_report,
 )
-from repro.experiments.statistics import (
-    SeededResult,
-    SeriesStats,
-    run_seeded,
-    significantly_below,
-)
 
 __all__ = [
     "DEFAULT_APL_KS",
@@ -40,9 +34,7 @@ __all__ = [
     "PAPER_KS",
     "Report",
     "ReportScale",
-    "SeededResult",
     "Series",
-    "SeriesStats",
     "baseline_networks",
     "degrade",
     "flat_tree_network",
@@ -56,9 +48,7 @@ __all__ = [
     "run_fig8",
     "run_hybrid",
     "generate_report",
-    "run_seeded",
     "write_report",
-    "significantly_below",
     "solve_throughput",
     "throughput_of",
 ]

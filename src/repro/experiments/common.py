@@ -22,7 +22,7 @@ from repro.errors import ReproError
 from repro.mcf.approx import solve_concurrent_approx
 from repro.mcf.commodities import FlowProblem, build_flow_problem
 from repro.mcf.exact import solve_concurrent_exact
-from repro.topology.clos import ClosParams, fat_tree_params
+from repro.topology.clos import fat_tree_params
 from repro.topology.elements import Network
 from repro.topology.fattree import build_fat_tree
 from repro.topology.jellyfish import build_jellyfish_like_fat_tree
@@ -159,11 +159,6 @@ def placement_rng(seed: int, placement: str) -> random.Random:
     ``PYTHONHASHSEED``.
     """
     return random.Random(seed + zlib.crc32(placement.encode()) % 1000)
-
-
-def pod_groups_for(params: ClosParams) -> List[Sequence[int]]:
-    """Server ids per Pod (the paper's in-Pod pairs of Figure 6)."""
-    return [params.pod_servers(p) for p in range(params.pods)]
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.controller import Controller
 from repro.core.conversion import Mode
@@ -40,15 +40,17 @@ from repro.monitor import NetworkMonitor
 FCT_MODES: Tuple[Mode, ...] = (Mode.CLOS, Mode.GLOBAL_RANDOM)
 
 
-def _hotspot_workload(num_servers: int, flows: int, rng: random.Random):
-    """Half the flows fan out of one hot server, half are random pairs."""
+def hotspot_flows(num_servers: int, count: int,
+                  rng: random.Random) -> List[FlowSpec]:
+    """``count`` unit-size flows: up to half fan out of one hot server
+    to distinct destinations, the rest are random server pairs."""
     servers = list(range(num_servers))
     hotspot = rng.choice(servers)
     others = [s for s in servers if s != hotspot]
     specs = []
-    for dst in rng.sample(others, min(flows // 2, len(others))):
+    for dst in rng.sample(others, min(count // 2, len(others))):
         specs.append(FlowSpec(len(specs), hotspot, dst, size=1.0))
-    while len(specs) < flows:
+    while len(specs) < count:
         a, b = rng.sample(servers, 2)
         specs.append(FlowSpec(len(specs), a, b, size=1.0))
     return specs
@@ -69,7 +71,7 @@ def run_fct(
     for k in ks:
         design = FlatTreeDesign.for_fat_tree(k)
         controller = Controller(FlatTree(design))
-        workload = _hotspot_workload(
+        workload = hotspot_flows(
             design.params.num_servers, flows, random.Random(seed)
         )
         for mode, curve in series.items():
@@ -127,7 +129,7 @@ def run_fct_monitored(
                          "(one per conversion phase)")
     design = FlatTreeDesign.for_fat_tree(k)
     controller = Controller(FlatTree(design))
-    workload = _hotspot_workload(
+    workload = hotspot_flows(
         design.params.num_servers, flows, random.Random(seed)
     )
     first, second = workload[: flows // 2], workload[flows // 2:]

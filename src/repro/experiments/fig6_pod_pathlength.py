@@ -21,10 +21,10 @@ from repro.experiments.common import (
     baseline_networks,
     flat_tree_network,
     ks_from_env,
-    pod_groups_for,
 )
 from repro.topology.clos import fat_tree_params
 from repro.topology.stats import average_within_group_path_length
+from repro.traffic import pod_groups
 
 
 def run_fig6(
@@ -43,7 +43,7 @@ def run_fig6(
     two = result.new_series("two-stage random graph")
     for k in ks:
         params = fat_tree_params(k)
-        groups = pod_groups_for(params)
+        groups = pod_groups(params)
         baselines = baseline_networks(k, seed=seed)
         flat.add(
             k,

@@ -31,7 +31,8 @@ from repro.core.controller import Controller
 from repro.core.conversion import Mode, convert
 from repro.core.design import FlatTreeDesign
 from repro.core.flattree import FlatTree
-from repro.flowsim.simulator import FlowSimulator, FlowSpec
+from repro.experiments.fct import hotspot_flows
+from repro.flowsim.simulator import FlowSimulator
 from repro.mcf.approx import solve_concurrent_approx
 from repro.mcf.commodities import build_flow_problem
 from repro.routing.ksp import build_ksp_table
@@ -84,24 +85,6 @@ def _ksp_source_group_pairs(
     pods = sorted(first_edge)
     return [(first_edge[src], first_edge[dst])
             for src in pods for dst in pods if src != dst]
-
-
-def _fct_flows(num_servers: int, count: int,
-               rng: random.Random) -> List[FlowSpec]:
-    """Hotspot-plus-background unit flows (the FCT bench workload)."""
-    servers = list(range(num_servers))
-    hotspot = rng.choice(servers)
-    others = [server for server in servers if server != hotspot]
-    specs: List[FlowSpec] = []
-    flow_id = 0
-    for dst in rng.sample(others, min(count // 2, len(others))):
-        specs.append(FlowSpec(flow_id, hotspot, dst, size=1.0))
-        flow_id += 1
-    while flow_id < count:
-        src, dst = rng.sample(servers, 2)
-        specs.append(FlowSpec(flow_id, src, dst, size=1.0))
-        flow_id += 1
-    return specs
 
 
 def run_campaign(
@@ -179,8 +162,8 @@ def _run_stage(name: str, k: int, seed: int, flows: int,
         design = FlatTreeDesign.for_fat_tree(flowsim_k)
         controller = Controller(FlatTree(design))
         controller.apply_mode(Mode.GLOBAL_RANDOM)
-        specs = _fct_flows(design.params.num_servers, flows,
-                           random.Random(seed + 1))
+        specs = hotspot_flows(design.params.num_servers, flows,
+                              random.Random(seed + 1))
         FlowSimulator(controller.network, controller.route).run(specs)
     else:  # pragma: no cover - stage list is fixed above
         raise ValueError(f"unknown campaign stage {name!r}")

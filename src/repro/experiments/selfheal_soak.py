@@ -28,7 +28,7 @@ from repro.core.failures import FailureSet, Leg
 from repro.core.flattree import FlatTree
 from repro.core.reconfigure import MEMS_OPTICAL, Technology
 from repro.errors import ReproError
-from repro.experiments.fct import _hotspot_workload
+from repro.experiments.fct import hotspot_flows
 from repro.flowsim import FlowSimulator, SimulationResult, TopologyEvent
 from repro.selfheal.engine import (
     ControllerExecutor,
@@ -105,7 +105,7 @@ def run_selfheal_soak(k: int = 4, flows: int = 24, seed: int = 0,
         raise ReproError("k must be an even integer >= 4")
     ft = FlatTree(FlatTreeDesign.for_fat_tree(k))
     controller = Controller(ft)
-    workload = _hotspot_workload(
+    workload = hotspot_flows(
         ft.params.num_servers, flows, random.Random(seed))
 
     baseline_net = controller.network

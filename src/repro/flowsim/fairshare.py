@@ -8,7 +8,7 @@ of the flows crossing them at their fair share, remove those rates from
 every link the flows cross, and continue.
 
 It serves as a *routing-sensitive* second opinion next to the LP: the
-same workload evaluated over ECMP or KSP path choices yields a rate
+same workload evaluated over two-level or KSP path choices yields a rate
 profile whose aggregate never exceeds the LP optimum and whose trends
 across topologies match it (cross-checked in tests and an ablation
 bench).

@@ -7,12 +7,6 @@ from repro.mcf.commodities import (
     build_flow_problem,
     commodity_count,
 )
-from repro.mcf.decompose import (
-    PathFlow,
-    decompose_group,
-    decompose_solution,
-    delivered_per_commodity,
-)
 from repro.mcf.exact import MCFResult, solve_concurrent_exact
 from repro.mcf.approx import solve_concurrent_approx
 from repro.mcf.maxflow import (
@@ -27,11 +21,7 @@ __all__ = [
     "DemandGroup",
     "FlowProblem",
     "MCFResult",
-    "PathFlow",
     "build_flow_problem",
-    "decompose_group",
-    "decompose_solution",
-    "delivered_per_commodity",
     "commodity_count",
     "concurrent_upper_bound",
     "single_pair_max_flow",

@@ -1,41 +1,21 @@
-"""Routing schemes: ECMP, k-shortest paths, two-level, SDN programs."""
+"""Routing schemes: two-level, k-shortest paths, SDN programs."""
 
 from repro.routing.base import Path, RoutingTable
-from repro.routing.ecmp import build_ecmp_table, ecmp_fanout, ecmp_paths
 from repro.routing.ksp import (
     DEFAULT_K,
     build_ksp_table,
     k_shortest_paths,
     path_stretch,
 )
-from repro.routing.optimal import (
-    OptimalRoutes,
-    WeightedPaths,
-    compile_optimal_routes,
-)
 from repro.routing.sdn import SdnProgram
 from repro.routing.twolevel import two_level_hops, two_level_route
-from repro.routing.twolevel_tables import (
-    Address,
-    TwoLevelTables,
-    compile_two_level_tables,
-)
 
 __all__ = [
-    "Address",
     "DEFAULT_K",
-    "OptimalRoutes",
     "Path",
-    "TwoLevelTables",
-    "compile_two_level_tables",
     "RoutingTable",
     "SdnProgram",
-    "WeightedPaths",
-    "build_ecmp_table",
-    "compile_optimal_routes",
     "build_ksp_table",
-    "ecmp_fanout",
-    "ecmp_paths",
     "k_shortest_paths",
     "path_stretch",
     "two_level_hops",

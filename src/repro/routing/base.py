@@ -1,9 +1,9 @@
 """Routing abstractions: paths, path sets, routing tables.
 
 The control plane (paper §2.6) "adopt[s] the suggested routing schemes
-for each network topology": ECMP / two-level routing for Clos, k-shortest
-paths for the approximated random graphs, optionally compiled to
-pre-computed SDN rules.  This module defines the shared vocabulary.
+for each network topology": two-level routing for Clos, k-shortest paths
+for the approximated random graphs, optionally compiled to pre-computed
+SDN rules.  This module defines the shared vocabulary.
 """
 
 from __future__ import annotations

@@ -51,27 +51,21 @@ def build_ksp_table(
 ) -> RoutingTable:
     """KSP routing table for the given switch pairs.
 
-    Duplicate (src, dst) pairs in the input are served from a per-build
-    memo instead of re-running Yen's algorithm; the hit count surfaces
-    as ``routing.ksp.memo_hits``.
+    A (src, dst) pair repeated in the input keeps the paths of its first
+    occurrence: the table itself is the memo, so Yen's algorithm runs
+    once per pair.  Repeats count as ``routing.ksp.memo_hits``.
     """
     table = RoutingTable(name=f"ksp{k}[{net.name}]")
-    memo: dict = {}
     pair_list = list(pairs)
     progress = obs.ProgressTracker("routing.build_ksp_table",
                                    total=len(pair_list))
     with obs.span("build_ksp_table", k=k, net=net.name):
         for src, dst in pair_list:
-            if src == dst:
-                progress.advance()
-                continue
-            if (src, dst) in memo:
-                obs.incr("routing.ksp.memo_hits")
-                paths = memo[(src, dst)]
-            else:
-                paths = k_shortest_paths(net, src, dst, k=k)
-                memo[(src, dst)] = paths
-            table.add(paths)
+            if src != dst:
+                if table.has_route(src, dst):
+                    obs.incr("routing.ksp.memo_hits")
+                else:
+                    table.add(k_shortest_paths(net, src, dst, k=k))
             progress.advance()
         progress.finish()
     return table

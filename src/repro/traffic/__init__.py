@@ -14,16 +14,6 @@ from repro.traffic.placement import (
     placement_by_name,
     pod_groups,
 )
-from repro.traffic.flowgen import (
-    DATA_MINING,
-    FIXED_UNIT,
-    UNIFORM,
-    WEB_SEARCH,
-    SizeCDF,
-    hotspot_pairs,
-    poisson_flows,
-    uniform_pairs,
-)
 from repro.traffic.patterns import (
     all_to_all_commodities,
     broadcast_commodities,
@@ -36,14 +26,6 @@ __all__ = [
     "ALL_TO_ALL_CLUSTER_SIZE",
     "BROADCAST_CLUSTER_SIZE",
     "Cluster",
-    "DATA_MINING",
-    "FIXED_UNIT",
-    "SizeCDF",
-    "UNIFORM",
-    "WEB_SEARCH",
-    "hotspot_pairs",
-    "poisson_flows",
-    "uniform_pairs",
     "all_to_all_commodities",
     "broadcast_commodities",
     "cluster_count",

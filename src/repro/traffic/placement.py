@@ -119,5 +119,5 @@ def _check(total_members: int, num_servers: int) -> None:
 
 
 def pod_groups(params: ClosParams) -> List[Sequence[int]]:
-    """Server ids grouped by Pod (helper shared by experiments)."""
+    """Server ids grouped by Pod (the in-Pod pairs of Figure 6)."""
     return [params.pod_servers(p) for p in range(params.pods)]

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.errors import RoutingError
+from repro.obs.sinks import MemorySink
 from repro.routing.ksp import (
     DEFAULT_K,
     build_ksp_table,
     k_shortest_paths,
     path_stretch,
 )
-from repro.topology.elements import PlainSwitch
+from repro.routing.sdn import SdnProgram
+from repro.topology.elements import EdgeSwitch, PlainSwitch
+from repro.topology.fattree import build_fat_tree
 
 
 class TestKShortestPaths:
@@ -57,6 +61,31 @@ class TestKspTable:
         paths = table.paths(PlainSwitch(0), PlainSwitch(1))
         assert [p.hops for p in paths] == [1, 2]
         table.validate_on(triangle)
+
+    def test_repeated_pair_keeps_one_path_set(self):
+        """A pair listed twice holds its k paths once and compiles to the
+        same SDN rules as the pair listed once."""
+        net = build_fat_tree(4)
+        pair = (EdgeSwitch(0, 0), EdgeSwitch(1, 0))
+        once = build_ksp_table(net, [pair], k=4)
+        twice = build_ksp_table(net, [pair, pair], k=4)
+        assert twice.paths(*pair) == once.paths(*pair)
+        assert len(twice) == len(once) == 4
+        assert (SdnProgram.compile(twice).rule_count()
+                == SdnProgram.compile(once).rule_count() == 16)
+
+    def test_repeated_pair_counts_a_memo_hit(self, triangle):
+        pair = (PlainSwitch(0), PlainSwitch(1))
+        obs.disable()
+        obs.registry.reset()
+        obs.enable(MemorySink())
+        try:
+            build_ksp_table(triangle, [pair, pair, pair], k=2)
+            hits = obs.registry.snapshot()["routing.ksp.memo_hits"]
+        finally:
+            obs.disable()
+            obs.registry.reset()
+        assert hits["value"] == 2
 
 
 class TestStretch:

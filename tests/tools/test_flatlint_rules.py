@@ -320,6 +320,14 @@ class TestFT004Layering:
         assert codes(findings) == ["FT004"]
         assert "repro.monitor" in findings[0].message
 
+    def test_routing_may_not_import_mcf(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path, "src/repro/routing/bad.py", """\
+            from repro.mcf.exact import solve_concurrent_exact
+            """)
+        assert codes(findings) == ["FT004"]
+        assert "repro.routing may not import repro.mcf" in findings[0].message
+
     def test_lazy_function_level_import_is_clean(self, tmp_path):
         findings = lint_snippet(
             tmp_path, "src/repro/topology/ok.py", """\

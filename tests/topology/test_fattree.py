@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from repro.errors import TopologyError
+from repro.topology.elements import EdgeSwitch
 from repro.topology.fattree import build_fat_tree, fat_tree_equipment
 from repro.topology.stats import (
     average_server_path_length,
@@ -68,6 +70,28 @@ def test_k4_apl_exact():
     net = build_fat_tree(4)
     expected = (1 * 2 + 2 * 4 + 12 * 6) / 15
     assert average_server_path_length(net) == pytest.approx(expected)
+
+
+def _shortest_path_count(net, src, dst):
+    return len(list(nx.all_shortest_paths(net.fabric, src, dst)))
+
+
+@pytest.mark.parametrize("k", [4, 6, 8])
+def test_clos_cross_pod_multipath_count(k):
+    """§1's Clos premise, rich equal-cost redundancy: (k/2)^2 shortest
+    paths between edge switches of different Pods."""
+    net = build_fat_tree(k)
+    half = k // 2
+    edge = EdgeSwitch(0, 0)
+    assert _shortest_path_count(net, edge, EdgeSwitch(1, 0)) == half**2
+    assert _shortest_path_count(net, edge, EdgeSwitch(k - 1, half - 1)) == half**2
+
+
+@pytest.mark.parametrize("k", [4, 6, 8])
+def test_clos_intra_pod_multipath_count(k):
+    """Within a Pod, one shortest path per aggregation switch: k/2."""
+    net = build_fat_tree(k)
+    assert _shortest_path_count(net, EdgeSwitch(0, 0), EdgeSwitch(0, 1)) == k // 2
 
 
 def test_apl_grows_toward_6_with_k():

@@ -35,12 +35,11 @@ ALLOWED: Dict[str, FrozenSet[str]] = {
     "repro.obs": frozenset({"repro.errors"}),
     "repro.topology": _FOUNDATION,
     "repro.mcf": _FOUNDATION | {"repro.topology"},
-    "repro.routing": _FOUNDATION | {"repro.topology", "repro.mcf"},
+    "repro.routing": _FOUNDATION | {"repro.topology"},
     "repro.analysis": _FOUNDATION | {"repro.topology", "repro.mcf"},
     "repro.flowsim": _FOUNDATION | {"repro.topology", "repro.routing"},
     "repro.monitor": _FOUNDATION | {"repro.topology", "repro.routing"},
-    "repro.traffic": _FOUNDATION | {
-        "repro.topology", "repro.mcf", "repro.flowsim"},
+    "repro.traffic": _FOUNDATION | {"repro.topology", "repro.mcf"},
     "repro.core": _FOUNDATION | {
         "repro.topology", "repro.mcf", "repro.routing"},
     "repro.chaos": _FOUNDATION | {"repro.topology", "repro.core"},

@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test perf-test bench golden bench-session bench-smoke bench-compare trend-smoke figures examples lint lint-fast clean telemetry-smoke monitor-smoke chaos-smoke health-smoke hotspots-smoke heal-smoke
+.PHONY: install test perf-test bench golden bench-session bench-smoke bench-compare trend-smoke figures examples lint lint-fast clean telemetry-smoke monitor-smoke chaos-smoke health-smoke heal-smoke
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -48,10 +48,10 @@ bench-smoke:
 	$(PYTHON) -m tools.perfreport diff BENCH_smoke.json BENCH_smoke.json
 
 # Trajectory-aware regression gate: the default judges the newest
-# point of every bench/hotspot metric against a MAD noise band fitted
-# to the whole recorded BENCH_*/HOTSPOTS_* trajectory (exit 1 only
-# when a metric steps outside its band — a regression must beat the
-# noise, not just the 25% pairwise tolerance).  Override with
+# point of every bench metric against a MAD noise band fitted to the
+# whole recorded BENCH_* trajectory (exit 1 only when a metric steps
+# outside its band — a regression must beat the noise, not just the
+# 25% pairwise tolerance).  Override with
 # BASE=... NEW=... for the pairwise two-session diff; its exit 1 (a
 # grown bench) is reported but tolerated, and only usage errors fail.
 bench-compare:
@@ -128,10 +128,9 @@ chaos-smoke:
 
 # Record a hotspot run, then judge it through the fabric health plane:
 # exactly the link_hotspot alert must fire (exit 1 on any other alert
-# set, 2 on IO/usage errors), the JSON report must replay byte-identical,
-# and the `top --once` dashboard frame must render.  HEALTH_REPORT.json
-# and HEALTH_REPORT.prom are left behind for the CI artifact upload;
-# `make clean` removes them.
+# set, 2 on IO/usage errors) and the JSON report must replay
+# byte-identical.  HEALTH_REPORT.json and HEALTH_REPORT.prom are left
+# behind for the CI artifact upload; `make clean` removes them.
 health-smoke:
 	rm -f health-smoke.jsonl
 	PYTHONPATH=src $(PYTHON) -m repro.cli --telemetry=health-smoke.jsonl monitor --k 4 --pattern hotspot --flows 24 > /dev/null
@@ -139,7 +138,6 @@ health-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli health health-smoke.jsonl --expect link_hotspot --json > health-smoke-a.json
 	PYTHONPATH=src $(PYTHON) -m repro.cli health health-smoke.jsonl --expect link_hotspot --json > health-smoke-b.json
 	cmp health-smoke-a.json health-smoke-b.json
-	PYTHONPATH=src $(PYTHON) -m repro.cli top --trace health-smoke.jsonl --once > /dev/null
 	rm -f health-smoke.jsonl health-smoke-a.json health-smoke-b.json
 
 # Close the loop end to end: record a hotspot monitor trace, replay it
@@ -159,16 +157,6 @@ heal-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli heal --regret --k 4 --seed 7
 	rm -f heal-smoke.jsonl heal-smoke-b.json heal-smoke-events.jsonl
 
-# Tiny sampling-profiler campaign for CI: a k=8 battery at a high
-# sample rate -> HOTSPOTS_smoke.json, validated by re-rendering it and
-# round-tripping the captured folded stacks through tools.perfreport.
-# The artifact is left behind for the CI upload; `make clean` removes it.
-hotspots-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli hotspots --k 8 --hz 331 --flows 64 --out HOTSPOTS_smoke.json --label smoke > /dev/null
-	$(PYTHON) -m tools.perfreport hotspots HOTSPOTS_smoke.json --folded hotspots-smoke.folded
-	test -s hotspots-smoke.folded
-	rm -f hotspots-smoke.folded
-
 figures:
 	$(PYTHON) -m repro.cli fig5
 	$(PYTHON) -m repro.cli fig6
@@ -183,6 +171,5 @@ clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .hypothesis
 	rm -f BENCH_smoke.json telemetry-smoke.jsonl TREND_REPORT.json
 	rm -f HEALTH_REPORT.json HEALTH_REPORT.prom health-smoke*.jsonl health-smoke-*.json
-	rm -f HOTSPOTS_smoke.json hotspots-smoke.folded
 	rm -f HEAL_LEDGER.json heal-smoke*.jsonl heal-smoke-b.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -10,8 +10,6 @@ records a baseline series next to an attached one:
   (``monitor=None`` fast paths), and when attached it must stay the
   same order of magnitude as the bare event loop: ``monitored <
   5 x bare + 50 ms``.
-* ``sampler`` — the :class:`~repro.obs.sampler.SamplingProfiler` at its
-  default 97 Hz versus sampler-off, best of ``ROUNDS`` each.
 * ``health`` / ``selfheal`` — differencing two full simulator runs
   cannot resolve a few percent on a noisy box, so these drain the
   monitored run's captured event stream instead
@@ -22,7 +20,7 @@ records a baseline series next to an attached one:
   the bare ``NullSink``.  The attached series is the monitor-only wall
   time plus that tax.
 
-The last three are gated at ``OVERHEAD_FRACTION`` of their baseline
+The last two are gated at ``OVERHEAD_FRACTION`` of their baseline
 plus a ``JITTER_FLOOR_S`` absolute floor.  At the ~0.13-0.15 s
 baselines here the floor dominates: the gate admits about 12 %, not
 5 %, and each table's second note prints the measured overhead next
@@ -46,7 +44,6 @@ from repro.experiments.common import ExperimentResult
 from repro.experiments.fct import hotspot_flows
 from repro.flowsim.simulator import FlowSimulator
 from repro.monitor import NetworkMonitor
-from repro.obs.sampler import DEFAULT_HZ, SamplingProfiler
 from repro.obs.sinks import MemorySink, NullSink
 from repro.selfheal.engine import RemediationEngine, new_selfheal_aggregator
 
@@ -54,7 +51,7 @@ BENCH_K = 8
 FLOWS = 120
 ROUNDS = 5
 
-#: The health, sampler and self-heal planes may tax their baseline by
+#: The health and self-heal planes may tax their baseline by
 #: at most this fraction, plus a small absolute floor so a millisecond
 #: hiccup on a fast run cannot fail the gate spuriously.
 OVERHEAD_FRACTION = 0.05
@@ -65,7 +62,7 @@ JITTER_FLOOR_S = 0.01
 POLL_EVERY = 64
 
 
-def flowsim_run(monitored=False, profiler=None, sink=None):
+def flowsim_run(monitored=False, sink=None):
     """Time one run of the workload; returns (seconds, monitor).
 
     ``sink`` switches telemetry to emit every event into it for the
@@ -82,15 +79,11 @@ def flowsim_run(monitored=False, profiler=None, sink=None):
     if sink is not None:
         obs.disable()
         obs.enable(sink, emit_metric_events=True)
-    if profiler is not None:
-        profiler.start()
     try:
         begin = time.perf_counter()
         simulator.run(flows)
         elapsed = time.perf_counter() - begin
     finally:
-        if profiler is not None:
-            profiler.stop()
         if sink is not None:
             obs.disable()
             obs.enable()
@@ -198,25 +191,6 @@ def run_health() -> ExperimentResult:
     return result
 
 
-def run_sampler() -> ExperimentResult:
-    flowsim_run()  # warm-up, discarded
-    bare = min(flowsim_run()[0] for _ in range(ROUNDS))
-    sampled_times = []
-    samples = 0
-    for _ in range(ROUNDS):
-        profiler = SamplingProfiler(hz=DEFAULT_HZ)
-        sampled_times.append(flowsim_run(profiler=profiler)[0])
-        samples = max(samples, profiler.profile.samples)
-    result = new_result(
-        "extension: sampling-profiler overhead", "wall-clock (s)",
-        bare, min(sampled_times), "sampler-off", "sampler-on")
-    result.notes.append(
-        f"{FLOWS} flows, best of {ROUNDS}; {DEFAULT_HZ:g} Hz captured "
-        f"up to {samples} samples"
-    )
-    return result
-
-
 def run_selfheal() -> ExperimentResult:
     bare, tax, (aggregator, engine) = monitored_drain_tax(attach_selfheal)
     result = new_result(
@@ -232,7 +206,6 @@ def run_selfheal() -> ExperimentResult:
 CASES = {
     "monitor": run_monitor,
     "health": run_health,
-    "sampler": run_sampler,
     "selfheal": run_selfheal,
 }
 

@@ -82,6 +82,20 @@ def _run_with_telemetry(args) -> int:
     return code
 
 
+def _int_at_least(minimum: int):
+    """argparse ``type=`` for an int flag that must be >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flattree",
@@ -203,15 +217,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=Mode.CLOS.value)
     p.add_argument("--pattern", choices=("alltoall", "hotspot"),
                    default="alltoall")
-    p.add_argument("--flows", type=int, default=0,
+    p.add_argument("--flows", type=_int_at_least(0), default=0,
                    help="cap on flow count (0 = the full pattern)")
     p.add_argument("--interval", type=float, default=0.0,
                    help="sampling interval in simulated seconds "
                         "(0 = every allocation event)")
     p.add_argument("--retention", type=int, default=None,
                    help="ring-buffer samples kept per link")
-    p.add_argument("--bins", type=int, default=12)
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--bins", type=_int_at_least(1), default=12)
+    p.add_argument("--top", type=_int_at_least(1), default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_monitor_handler)
 
@@ -255,22 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated alert rules the trace must have "
                         "fired, exactly ('' = none); exit 1 on mismatch")
     p.set_defaults(handler=_health_handler)
-
-    p = sub.add_parser("top",
-                       help="live plain-refresh fabric dashboard over a "
-                            "telemetry JSONL trace")
-    p.add_argument("--trace", required=True, metavar="PATH",
-                   help="telemetry JSONL file to replay (or tail)")
-    p.add_argument("--once", action="store_true",
-                   help="consume the whole trace, print one final frame "
-                        "(no ANSI), exit")
-    p.add_argument("--follow", action="store_true",
-                   help="keep tailing the trace for new events")
-    p.add_argument("--every", type=int, default=None, metavar="N",
-                   help="repaint every N consumed events")
-    p.add_argument("--top", type=int, default=10, dest="topk",
-                   help="hot links shown per frame")
-    p.set_defaults(handler=_top_handler)
 
     p = sub.add_parser("heal",
                        help="closed-loop remediation: replay a telemetry "
@@ -328,28 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", default="bench",
                    help="free-form session label recorded in the file")
     p.set_defaults(handler=_bench_handler)
-
-    p = sub.add_parser("hotspots",
-                       help="run the sampling-profiler campaign battery "
-                            "and record a durable HOTSPOTS_<seq>.json")
-    p.add_argument("--k", type=int, default=32,
-                   help="fat-tree parameter for the build/convert/KSP "
-                        "stages (default 32; MCF and flowsim stages are "
-                        "capped internally)")
-    p.add_argument("--hz", type=float, default=97.0,
-                   help="sampling rate; a prime avoids aliasing "
-                        "(default 97; raise for short campaigns)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="artifact to write (default: the next free "
-                        "repo-root HOTSPOTS_<seq>.json)")
-    p.add_argument("--label", default="hotspots",
-                   help="free-form campaign label recorded in the file")
-    p.add_argument("--top", type=int, default=60,
-                   help="functions to keep in the artifact (default 60)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--flows", type=int, default=200,
-                   help="flow count for the flowsim FCT stage")
-    p.set_defaults(handler=_hotspots_handler)
 
     p = sub.add_parser("info",
                        help="package version, dependencies, telemetry sinks")
@@ -461,43 +437,6 @@ def _bench_handler(args) -> int:
     return 0
 
 
-def _hotspots_handler(args) -> int:
-    """Run the hotspot campaign and write one HOTSPOTS_<seq>.json."""
-    from pathlib import Path
-
-    from repro.errors import ReproError
-    from repro.experiments.hotspot_campaign import run_campaign
-    from repro.obs import bench as bench_sessions
-    from repro.obs import hotspots as hotspot_docs
-
-    if args.k < 4 or args.k % 2:
-        print(f"hotspots: k must be an even number >= 4, got {args.k}",
-              file=sys.stderr)
-        return 2
-    root = bench_sessions.repo_root()
-    out = (Path(args.out) if args.out
-           else bench_sessions.next_session_path(root, hotspot_docs.PREFIX))
-    result = run_campaign(k=args.k, hz=args.hz, seed=args.seed,
-                          flows=args.flows)
-    document = hotspot_docs.build_document(
-        result.profile, result.stages, k=args.k, label=args.label,
-        top=args.top, root=root)
-    try:
-        hotspot_docs.write_document(out, document)
-    except ReproError as exc:
-        print(f"hotspots: {exc}", file=sys.stderr)
-        return 1
-    obs.event("perf.hotspot_session", out=str(out),
-              functions=len(document["functions"]),
-              samples=result.profile.samples)
-    print(hotspot_docs.render_document(document, top=args.top))
-    print(f"\nhotspots: wrote {out} — {result.profile.samples} samples, "
-          f"{len(document['functions'])} functions")
-    print("inspect with: python -m tools.perfreport hotspots "
-          f"{out.name} (see docs/performance.md)")
-    return 0
-
-
 def _health_handler(args) -> int:
     """Replay a telemetry trace through the health plane and judge it.
 
@@ -543,36 +482,6 @@ def _health_handler(args) -> int:
             return 1
         return 0
     return 0 if report.healthy else 1
-
-
-def _top_handler(args) -> int:
-    from pathlib import Path
-
-    from repro import health
-    from repro.errors import ReproError
-    from repro.health.top import REFRESH_EVENTS
-
-    trace = Path(args.trace)
-    if not args.follow and not trace.is_file():
-        print(f"top: no trace at {trace}", file=sys.stderr)
-        return 2
-    try:
-        health.run_top(
-            str(trace),
-            out=sys.stdout,
-            aggregator=health.new_aggregator(),
-            once=args.once,
-            follow=args.follow,
-            refresh_events=(args.every if args.every is not None
-                            else REFRESH_EVENTS),
-            k=args.topk,
-        )
-    except (ReproError, OSError) as exc:
-        print(f"top: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        print()
-    return 0
 
 
 def _heal_handler(args) -> int:
@@ -695,8 +604,7 @@ def _info_handler(args) -> int:
     print(
         f"health: {len(default_rules())} alert rules + "
         f"{len(default_slos())} SLOs over streaming rollups "
-        "(flattree health TRACE, flattree top --trace PATH, "
-        "docs/health.md)"
+        "(flattree health TRACE, docs/health.md)"
     )
     from repro.selfheal import default_policy as selfheal_policy
 
@@ -716,24 +624,16 @@ def _info_handler(args) -> int:
     else:
         print(f"lint: {capability_line()}")
     from repro.obs import bench as bench_sessions
-    from repro.obs import hotspots as hotspot_docs
 
-    root = bench_sessions.repo_root()
-    sessions = bench_sessions.session_paths(root)
-    campaigns = bench_sessions.session_paths(root, hotspot_docs.PREFIX)
+    sessions = bench_sessions.session_paths(bench_sessions.repo_root())
     print(
         "perf: span-tree profiler + folded-stack export "
         "(python -m tools.perfreport profile/flamegraph), "
         f"bench trajectory {len(sessions)} BENCH_*.json session(s) "
         "(flattree bench, docs/performance.md), differential analysis "
-        "(perfreport diff: pairwise gate + span-tree/hotspot/bench "
-        "deltas + differential flamegraphs), trajectory trend gate with "
-        "MAD noise bands (perfreport trend)"
-    )
-    print(
-        "hotspots: sampling profiler + progress heartbeats, "
-        f"{len(campaigns)} HOTSPOTS_*.json campaign(s) "
-        "(flattree hotspots, python -m tools.perfreport hotspots)"
+        "(perfreport diff: pairwise gate + span-tree/bench deltas + "
+        "differential flamegraphs), trajectory trend gate with MAD "
+        "noise bands (perfreport trend)"
     )
     return 0
 

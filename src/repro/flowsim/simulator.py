@@ -203,8 +203,6 @@ class FlowSimulator:
         now = 0.0
         events = 0
         recomputes = 0
-        progress = obs.ProgressTracker(
-            "flowsim.run", total=len(pending) + len(active))
         while pending or active:
             events += 1
             if events > budget:
@@ -280,9 +278,6 @@ class FlowSimulator:
                 # Per-completion FCT observation: the health plane's
                 # windowed-p99 regression rollup feeds off this stream.
                 obs.observe("flowsim.fct_s", now - spec.arrival)
-            if finished:
-                progress.advance(len(finished))
-        progress.finish()
         obs.incr("flowsim.events", events)
         obs.incr("flowsim.fairshare_recomputes", recomputes)
         obs.incr("flowsim.flows_completed", len(result.completed))

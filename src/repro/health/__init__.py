@@ -2,8 +2,8 @@
 
 Streaming aggregation over the telemetry bus, declarative alert rules
 with hysteresis, SLO error budgets with multi-window burn-rate
-alerting, and the rendering surfaces behind ``flattree top`` /
-``flattree health`` (see ``docs/health.md``).
+alerting, and the rendering surface behind ``flattree health`` (see
+``docs/health.md``).
 
 Two ways in:
 
@@ -44,7 +44,6 @@ from repro.health.rules import (
     probe_value,
 )
 from repro.health.slo import Slo, SloTracker, default_slos
-from repro.health.top import render_frame, run_top
 
 __all__ = [
     "AlertRule",
@@ -70,8 +69,6 @@ __all__ = [
     "new_aggregator",
     "probe_value",
     "prometheus_text",
-    "render_frame",
-    "run_top",
 ]
 
 

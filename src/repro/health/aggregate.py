@@ -214,9 +214,6 @@ class HealthAggregator:
         self.links: Dict[str, LinkRollup] = {}
         self.metrics: Dict[str, MetricRollup] = {}
         self.event_counts: Dict[str, EventRollup] = {}
-        #: Latest ``progress.heartbeat`` payload per phase name — the
-        #: long-run progress plane the ``top`` dashboard renders.
-        self.progress: Dict[str, Dict[str, object]] = {}
         #: Open dark windows: link -> down_t.
         self.dark_open: Dict[str, float] = {}
         #: Cumulative closed dark time (link-seconds).
@@ -228,11 +225,11 @@ class HealthAggregator:
         #: batches are judged once, not per eval_every boundary).
         self._last_eval_t = -math.inf
         #: The health tee runs :meth:`consume` on whatever thread
-        #: emits (the self-heal loop, the sampler's stop path, the
-        #: main thread replaying a file), so every rollup mutation and
-        #: every rule/SLO evaluation happens under this lock.  The
-        #: ``health.*`` early-return in :meth:`consume` stays outside
-        #: it: rule firings re-enter through the tee, and the lock is
+        #: emits (the self-heal loop, the main thread replaying a
+        #: file), so every rollup mutation and every rule/SLO
+        #: evaluation happens under this lock.  The ``health.*``
+        #: early-return in :meth:`consume` stays outside it: rule
+        #: firings re-enter through the tee, and the lock is
         #: deliberately non-reentrant.
         self._lock = threading.Lock()
 
@@ -308,16 +305,6 @@ class HealthAggregator:
                     rollup = EventRollup(name, self.window)
                     self.event_counts[name] = rollup
                 rollup.record(None if t is None else float(t))
-                if name == "progress.heartbeat":
-                    phase = event.get("phase")
-                    if isinstance(phase, str) and phase:
-                        self.progress[phase] = {
-                            "done": event.get("done"),
-                            "total": event.get("total"),
-                            "elapsed_s": event.get("elapsed_s"),
-                            "eta_s": event.get("eta_s"),
-                            "rss_kb": event.get("rss_kb"),
-                        }
             # span events carry phase timings already rolled up by
             # repro.obs.perf; the health plane does not re-aggregate them.
 

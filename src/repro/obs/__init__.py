@@ -57,14 +57,7 @@ from repro.obs.sinks import (
     StreamSink,
 )
 from repro.obs.perf import NameStats, Profile, SpanNode
-from repro.obs.progress import ProgressTracker, read_rss_kb
-from repro.obs.sampler import (
-    FunctionStat,
-    SampleProfile,
-    SamplingProfiler,
-)
 from repro.obs.trace import (
-    active_span_path,
     TRACEMALLOC_ENV,
     Span,
     current_sink,
@@ -86,7 +79,6 @@ __all__ = [
     "Counter",
     "Ewma",
     "FileSink",
-    "FunctionStat",
     "Gauge",
     "Histogram",
     "MemorySink",
@@ -94,9 +86,6 @@ __all__ = [
     "NameStats",
     "NullSink",
     "Profile",
-    "ProgressTracker",
-    "SampleProfile",
-    "SamplingProfiler",
     "Sink",
     "Span",
     "SpanNode",
@@ -105,7 +94,6 @@ __all__ = [
     "TRACEMALLOC_ENV",
     "Timer",
     "WindowedQuantile",
-    "active_span_path",
     "current_sink",
     "disable",
     "enable",
@@ -118,7 +106,6 @@ __all__ = [
     "observe",
     "publish",
     "quantile_summary",
-    "read_rss_kb",
     "registry",
     "render_table",
     "scrub_nonfinite",

@@ -17,12 +17,10 @@ per bench session, carrying
 * a monotonically growing sequence number, so ``BENCH_1.json``,
   ``BENCH_2.json``, ... form the repository's perf trajectory.
 
-It is also the one session-file layer under both numbered artifact
-kinds, ``BENCH_<seq>.json`` and ``HOTSPOTS_<seq>.json``
-(:mod:`repro.obs.hotspots`): sequence discovery and the next free
-slot by prefix, the seq parser, environment drift between two
-fingerprints, the validate-then-write / read-then-validate JSON
-helpers, and the noise thresholds every perf judge shares.
+It is also the one session-file layer: sequence discovery and the
+next free slot, the seq parser, environment drift between two
+fingerprints, validate-then-write / read-then-validate, and the noise
+thresholds every perf judge shares.
 
 Produced by ``flattree bench`` (see :mod:`repro.cli`), consumed by the
 pairwise gate ``python -m tools.perfreport diff BASE NEW``
@@ -42,7 +40,7 @@ import re
 import subprocess
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import ReproError
 from repro.obs.stats import scrub_nonfinite
@@ -60,10 +58,10 @@ DEFAULT_TOLERANCE = 0.25
 #: judged.
 DEFAULT_MIN_RUNTIME_S = 0.005
 
-#: Numbered repo-root session files: ``<PREFIX>_<seq>.json``.  Free-form
+#: Numbered repo-root session files: ``BENCH_<seq>.json``.  Free-form
 #: tags such as ``BENCH_smoke.json`` are throwaway runs that neither
 #: join the trajectory nor claim a sequence slot.
-_NUMBERED = re.compile(r"^[A-Z]+_(\d+)\.json$")
+_NUMBERED = re.compile(r"^BENCH_(\d+)\.json$")
 
 #: Fingerprint keys whose drift makes two sessions incomparable.
 _DRIFT_KEYS = ("python", "implementation", "machine", "cpu_count",
@@ -125,17 +123,17 @@ def session_seq(path: Path) -> Optional[int]:
     return int(match.group(1)) if match is not None else None
 
 
-def session_paths(root: Path, prefix: str = "BENCH") -> List[Path]:
-    """Existing numbered ``<prefix>_<seq>.json`` files, oldest first."""
-    found = [(seq, path) for path in root.glob(f"{prefix}_*.json")
+def session_paths(root: Path) -> List[Path]:
+    """Existing numbered ``BENCH_<seq>.json`` files, oldest first."""
+    found = [(seq, path) for path in root.glob("BENCH_*.json")
              if (seq := session_seq(path)) is not None]
     return [path for _, path in sorted(found)]
 
 
-def next_session_path(root: Path, prefix: str = "BENCH") -> Path:
-    """The next free ``<prefix>_<seq>.json`` slot under ``root``."""
-    taken = [session_seq(path) or 0 for path in session_paths(root, prefix)]
-    return root / f"{prefix}_{max(taken, default=0) + 1}.json"
+def next_session_path(root: Path) -> Path:
+    """The next free ``BENCH_<seq>.json`` slot under ``root``."""
+    taken = [session_seq(path) or 0 for path in session_paths(root)]
+    return root / f"BENCH_{max(taken, default=0) + 1}.json"
 
 
 def environment_drift(base: Mapping[str, object],
@@ -253,49 +251,31 @@ def validate_session(session: Mapping[str, object]) -> List[str]:
     return problems
 
 
-#: A schema check over one decoded document: the list of problems.
-Validator = Callable[[Mapping[str, object]], List[str]]
-
-
-def write_json(path: Path, document: Mapping[str, Any],
-               validate: Validator, kind: str) -> None:
-    """Scrub NaN, schema-check, then write (sorted keys, newline).
-
-    ``kind`` names the artifact in the error (``bench``, ``hotspot``).
-    """
-    scrubbed = scrub_nonfinite(document)
-    problems = validate(scrubbed)
+def write_session(path: Path, session: BenchSession) -> None:
+    """Scrub NaN, schema-check, then write one ``BENCH_*.json``."""
+    scrubbed = scrub_nonfinite(session)
+    problems = validate_session(scrubbed)
     if problems:
-        raise ReproError(f"refusing to write invalid {kind} file {path}: "
+        raise ReproError(f"refusing to write invalid bench file {path}: "
                          + "; ".join(problems))
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(scrubbed, handle, indent=1, sort_keys=True)
         handle.write("\n")
 
 
-def read_json(path: Path, validate: Validator, kind: str) -> Dict[str, Any]:
-    """Read one JSON object and schema-check it; ReproError otherwise."""
+def load_session(path: Path) -> BenchSession:
+    """Read and schema-check one ``BENCH_*.json``; ReproError otherwise."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
     except OSError as exc:
-        raise ReproError(f"cannot read {kind} file {path}: {exc}") from exc
+        raise ReproError(f"cannot read bench file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ReproError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ReproError(f"{path} is not a JSON object")
-    problems = validate(document)
+    problems = validate_session(document)
     if problems:
-        raise ReproError(f"{path} fails the {kind} schema: "
+        raise ReproError(f"{path} fails the bench schema: "
                          + "; ".join(problems))
     return document
-
-
-def write_session(path: Path, session: BenchSession) -> None:
-    """Write one ``BENCH_*.json`` session document."""
-    write_json(path, session, validate_session, "bench")
-
-
-def load_session(path: Path) -> BenchSession:
-    """Read and schema-check one ``BENCH_*.json``."""
-    return read_json(path, validate_session, "bench")

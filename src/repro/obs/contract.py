@@ -66,13 +66,8 @@ EVENT_FIELDS: Mapping[str, FrozenSet[str]] = {
         {"topology", "fraction", "draw"}),
     "core.scaling.candidate_skipped": frozenset({"candidate", "reason"}),
     "perf.bench_session": frozenset({"out", "benches"}),
-    "perf.hotspot_session": frozenset({"out", "functions", "samples"}),
     "perf.diff_session": frozenset({"base", "new", "grown", "shrunk"}),
     "perf.trend_session": frozenset({"sessions", "metrics", "steps"}),
-    "sampler.start": frozenset({"hz"}),
-    "sampler.stop": frozenset({"samples", "elapsed_s"}),
-    "sampler.flush": frozenset({"samples"}),
-    "progress.heartbeat": frozenset({"phase", "done", "total", "elapsed_s"}),
     "health.alert_firing": frozenset(
         {"rule", "metric", "value", "threshold", "t"}),
     "health.alert_resolved": frozenset(
@@ -190,22 +185,6 @@ def _check_bench_session(event: Mapping[str, Any],
     _check_counted(event, problems, "bench_session", "benches")
 
 
-def _check_elapsed(event: Mapping[str, Any], problems: List[str],
-                   label: str, field_name: str = "elapsed_s") -> None:
-    value = event.get(field_name)
-    if not _numeric(value):
-        problems.append(f"{label} missing numeric {field_name!r}")
-    elif value < 0:
-        problems.append(f"negative {label} {field_name!r} {value}")
-
-
-def _check_hotspot_session(event: Mapping[str, Any],
-                           problems: List[str]) -> None:
-    _check_named(event, problems, "hotspot_session", "out")
-    _check_counted(event, problems, "hotspot_session", "functions")
-    _check_counted(event, problems, "hotspot_session", "samples")
-
-
 def _check_diff_session(event: Mapping[str, Any],
                         problems: List[str]) -> None:
     _check_named(event, problems, "diff_session", "base")
@@ -219,42 +198,6 @@ def _check_trend_session(event: Mapping[str, Any],
     _check_counted(event, problems, "trend_session", "sessions")
     _check_counted(event, problems, "trend_session", "metrics")
     _check_counted(event, problems, "trend_session", "steps")
-
-
-def _check_sampler_start(event: Mapping[str, Any],
-                         problems: List[str]) -> None:
-    hz = event.get("hz")
-    if not _numeric(hz):
-        problems.append("sampler.start missing numeric 'hz'")
-    elif hz <= 0:
-        problems.append(f"sampler.start 'hz' must be positive: {hz}")
-
-
-def _check_sampler_stop(event: Mapping[str, Any],
-                        problems: List[str]) -> None:
-    _check_counted(event, problems, "sampler.stop", "samples")
-    _check_elapsed(event, problems, "sampler.stop")
-
-
-def _check_sampler_flush(event: Mapping[str, Any],
-                         problems: List[str]) -> None:
-    _check_counted(event, problems, "sampler.flush", "samples")
-
-
-def _check_progress_heartbeat(event: Mapping[str, Any],
-                              problems: List[str]) -> None:
-    _check_named(event, problems, "progress.heartbeat", "phase")
-    _check_counted(event, problems, "progress.heartbeat", "done")
-    _check_counted(event, problems, "progress.heartbeat", "total")
-    _check_elapsed(event, problems, "progress.heartbeat")
-    for optional in ("eta_s", "rss_kb", "rss_peak_kb", "traced_peak_kb"):
-        value = event.get(optional)
-        if value is None:
-            continue
-        if not _numeric(value) or value < 0:
-            problems.append(
-                f"progress.heartbeat {optional!r} must be a non-negative "
-                f"number when present: {value!r}")
 
 
 def _check_alert_firing(event: Mapping[str, Any],
@@ -357,13 +300,8 @@ EVENT_CHECKS: Mapping[str, Callable[[Mapping[str, Any], List[str]], None]] = {
     "experiments.degradation.solver_failure": _check_solver_failure,
     "core.scaling.candidate_skipped": _check_candidate_skipped,
     "perf.bench_session": _check_bench_session,
-    "perf.hotspot_session": _check_hotspot_session,
     "perf.diff_session": _check_diff_session,
     "perf.trend_session": _check_trend_session,
-    "sampler.start": _check_sampler_start,
-    "sampler.stop": _check_sampler_stop,
-    "sampler.flush": _check_sampler_flush,
-    "progress.heartbeat": _check_progress_heartbeat,
     "health.alert_firing": _check_alert_firing,
     "health.alert_resolved": _check_alert_resolved,
     "health.slo_burn": _check_slo_burn,

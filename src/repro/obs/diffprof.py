@@ -1,8 +1,8 @@
 """Differential profiling: the pairwise perf judge.
 
 It aligns two performance recordings, says *whether* the newer one
-regressed, and attributes the delta per function / span path, in
-three input flavors sharing one result shape:
+regressed, and attributes the delta per span path or bench, in two
+input flavors sharing one result shape:
 
 * **span-tree diff** (:func:`diff_profiles`) — two
   :class:`repro.obs.perf.Profile` trees from telemetry JSONL traces,
@@ -12,9 +12,6 @@ three input flavors sharing one result shape:
   ``mem_peak_kb`` deltas and is classified ``grown`` / ``shrunk`` /
   ``steady`` / ``new`` / ``gone`` / ``below-floor``; the two critical
   paths are compared level by level for the divergence summary.
-* **hotspot-campaign diff** (:func:`diff_hotspot_documents`) — two
-  ``HOTSPOTS_<seq>.json`` artifacts (``flattree hotspots``), aligned by
-  sampled function key over estimated self/cum seconds.
 * **bench-session diff** (:func:`diff_bench_sessions`) — two
   ``BENCH_<seq>.json`` sessions, aligned by bench node id over wall
   time.  This is the repo's pairwise bench regression gate (``python
@@ -23,11 +20,10 @@ three input flavors sharing one result shape:
 
 **Differential flamegraphs** ride along: :func:`subtract_folded` takes
 two folded-stack exports (``a;b;c <usec>`` lines, as produced by
-``Profile.folded`` and ``SampleProfile.folded``) and emits the
-two-column ``stack base_usec new_usec`` format that Brendan Gregg's
-``difffolded.pl`` produces and ``flamegraph.pl`` renders red/blue —
-so ``perfreport diff --folded out.folded`` shows where an optimization
-*moved* time, for traces and campaigns alike.
+``Profile.folded``) and emits the two-column ``stack base_usec
+new_usec`` format that Brendan Gregg's ``difffolded.pl`` produces and
+``flamegraph.pl`` renders red/blue — so ``perfreport diff --folded
+out.folded`` shows where an optimization *moved* time.
 
 Classification is noise-tolerant with the shared perf-judge defaults
 (:data:`repro.obs.bench.DEFAULT_TOLERANCE`,
@@ -63,7 +59,6 @@ __all__ = [
     "PathDelta",
     "ProfileDiff",
     "diff_bench_sessions",
-    "diff_hotspot_documents",
     "diff_profiles",
     "emit_diff_event",
     "parse_folded",
@@ -114,7 +109,7 @@ class PathDelta:
 class ProfileDiff:
     """The full attribution of ``diff BASE NEW``."""
 
-    kind: str  # trace | hotspots | bench
+    kind: str  # trace | bench
     base_label: str
     new_label: str
     tolerance: float
@@ -252,51 +247,6 @@ def diff_profiles(
     )
 
 
-def _collapse_hotspots(
-        document: Mapping[str, object]) -> Dict[str, _PathStats]:
-    stats: Dict[str, _PathStats] = {}
-    functions = document.get("functions")
-    for entry in functions if isinstance(functions, list) else []:
-        if not isinstance(entry, dict):
-            continue
-        key = str(entry.get("key", ""))
-        if not key:
-            continue
-        stats[key] = _PathStats(
-            path=key, name=key,
-            calls=int(entry.get("self_samples", 0) or 0),
-            cum_s=float(entry.get("cum_s", 0.0) or 0.0),
-            self_s=float(entry.get("self_s", 0.0) or 0.0),
-        )
-    return stats
-
-
-def diff_hotspot_documents(
-    base: Mapping[str, object],
-    new: Mapping[str, object],
-    tolerance: float = DEFAULT_TOLERANCE,
-    min_runtime_s: float = DEFAULT_MIN_RUNTIME_S,
-    base_label: str = "base",
-    new_label: str = "new",
-) -> ProfileDiff:
-    """Function-level diff of two ``HOTSPOTS_*.json`` campaigns.
-
-    ``calls`` carries self-sample counts; times are the campaigns'
-    estimated seconds (samples x period), so two campaigns are only
-    comparable when recorded at similar rates over similar batteries —
-    the ``k`` / ``hz`` header fields are surfaced by the CLI renderer.
-    """
-    deltas = _align(_collapse_hotspots(base), _collapse_hotspots(new),
-                    tolerance, min_runtime_s)
-    return ProfileDiff(
-        kind="hotspots", base_label=base_label, new_label=new_label,
-        tolerance=tolerance, min_runtime_s=min_runtime_s,
-        base_total_s=float(base.get("duration_s", 0.0) or 0.0),
-        new_total_s=float(new.get("duration_s", 0.0) or 0.0),
-        deltas=deltas,
-    )
-
-
 def _collapse_bench(session: Mapping[str, object]) -> Dict[str, _PathStats]:
     stats: Dict[str, _PathStats] = {}
     benchmarks = session.get("benchmarks")
@@ -395,8 +345,7 @@ def render_text(diff: ProfileDiff, top: int = 30) -> str:
     lines += [f"! environment drift: {note}"
               for note in diff.environment_drift]
     has_mem = any(d.mem_delta_kb is not None for d in diff.deltas)
-    label = "path" if diff.kind == "trace" else (
-        "function" if diff.kind == "hotspots" else "bench")
+    label = "path" if diff.kind == "trace" else "bench"
     header = (f"{'status':<12} {'base_s':>10} {'new_s':>10} {'delta_s':>10} "
               f"{'ratio':>7}")
     if has_mem:

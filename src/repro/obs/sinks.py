@@ -48,8 +48,8 @@ class MemorySink(Sink):
     """Buffers events in a list — the test and notebook sink.
 
     ``emit`` runs on whatever thread hits the bus (the self-heal loop,
-    the sampler's stop path, the main thread), so the buffer is
-    lock-guarded against a concurrent ``clear``.
+    the main thread), so the buffer is lock-guarded against a
+    concurrent ``clear``.
     """
 
     def __init__(self) -> None:

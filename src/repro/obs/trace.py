@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import contextvars
 import os
-import threading
 import time
 import tracemalloc
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sinks import NullSink, Sink
@@ -41,48 +40,6 @@ TRACEMALLOC_ENV = "REPRO_TRACEMALLOC"
 #: parentage stays correct per-thread and per-async-task.
 _SPAN_STACK: "contextvars.ContextVar[Tuple[Tuple[str, int], ...]]" = \
     contextvars.ContextVar("repro_obs_span_stack", default=())
-
-#: Mirror of the innermost active span *path* per OS thread.  The
-#: contextvar above is invisible from other threads, but the sampling
-#: profiler (:mod:`repro.obs.sampler`) runs on its own thread and needs
-#: to attribute each captured stack to the span the *target* thread is
-#: currently inside.  Entries are plain lists mutated only by their
-#: owning thread (append on ``__enter__``, pop on ``__exit__`` — both
-#: atomic under the GIL); readers take a best-effort snapshot.
-_THREAD_SPAN_PATHS: Dict[int, List[str]] = {}
-
-
-def _push_thread_span_path(path: str) -> None:
-    _THREAD_SPAN_PATHS.setdefault(threading.get_ident(), []).append(path)
-
-
-def _pop_thread_span_path() -> None:
-    tid = threading.get_ident()
-    stack = _THREAD_SPAN_PATHS.get(tid)
-    if stack:
-        stack.pop()
-    if not stack:
-        _THREAD_SPAN_PATHS.pop(tid, None)
-
-
-def active_span_path(thread_id: Optional[int] = None) -> str:
-    """Slash-joined path of the innermost active span on a thread.
-
-    ``thread_id`` defaults to the calling thread.  Returns ``""`` when
-    the thread has no active span (or telemetry is disabled).  Safe to
-    call from any thread: the per-thread stacks are only appended/
-    popped by their owners, so a cross-thread read sees either the
-    previous or the next innermost path, never a torn value.
-    """
-    if thread_id is None:
-        thread_id = threading.get_ident()
-    stack = _THREAD_SPAN_PATHS.get(thread_id)
-    if not stack:
-        return ""
-    try:
-        return stack[-1]
-    except IndexError:  # raced a pop on the owner thread
-        return ""
 
 
 class _State:
@@ -133,7 +90,6 @@ def enable(sink: Optional[Sink] = None,
     _state.emit_metric_events = emit_metric_events
     _state.next_span_id = 1
     _SPAN_STACK.set(())
-    _THREAD_SPAN_PATHS.clear()
     if trace_malloc is None:
         trace_malloc = os.environ.get(TRACEMALLOC_ENV, "0") not in ("", "0")
     _state.trace_malloc = trace_malloc
@@ -153,7 +109,6 @@ def disable() -> None:
         _state.sink = NullSink()
         _state.emit_metric_events = False
         _SPAN_STACK.set(())
-        _THREAD_SPAN_PATHS.clear()
         if _state._started_tracemalloc and tracemalloc.is_tracing():
             tracemalloc.stop()
         _state.trace_malloc = False
@@ -317,7 +272,6 @@ class Span:
         _state.next_span_id += 1
         self.parent_id = stack[-1][1] if stack else None
         self._token = _SPAN_STACK.set(stack + ((self.name, self.span_id),))
-        _push_thread_span_path(self.path)
         if _state.trace_malloc and tracemalloc.is_tracing():
             tracemalloc.reset_peak()
             self._mem_baseline = tracemalloc.get_traced_memory()[0]
@@ -329,7 +283,6 @@ class Span:
         if self._token is not None:
             _SPAN_STACK.reset(self._token)
             self._token = None
-            _pop_thread_span_path()
         if _state.enabled:
             registry.histogram(f"span.{self.name}_s").observe(duration)
             event = {

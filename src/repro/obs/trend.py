@@ -3,9 +3,9 @@
 ``tools.perfreport diff`` judges two ``BENCH_*.json`` sessions
 pairwise: one noisy recording can flip the gate either way.  This
 module ingests the *whole* recorded trajectory — every numbered
-``BENCH_<seq>.json`` and ``HOTSPOTS_<seq>.json`` at the repo root —
-into per-metric time series and judges the newest point against a
-noise model fitted to its own history:
+``BENCH_<seq>.json`` at the repo root — into per-metric time series
+and judges the newest point against a noise model fitted to its own
+history:
 
 * **noise model** — per metric, the median and median absolute
   deviation (MAD) over the trailing window (default 8 sessions,
@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.obs import bench, hotspots
+from repro.obs import bench
 from repro.obs.trace import event
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "analyze_trajectory",
     "bench_series",
     "emit_trend_event",
-    "hotspot_series",
     "render_json",
     "render_markdown",
     "render_text",
@@ -258,31 +257,6 @@ def bench_series(
     return series
 
 
-def hotspot_series(
-    documents: Sequence[Tuple[Path, Mapping[str, object]]],
-) -> Dict[str, List[SeriesPoint]]:
-    """``hotspots:stage.<name>.wall_s`` series from campaign artifacts."""
-    series: Dict[str, List[SeriesPoint]] = {}
-    for path, document in documents:
-        stages = document.get("stages")
-        if not isinstance(stages, list):
-            continue
-        for stage in stages:
-            if not isinstance(stage, dict):
-                continue
-            name = stage.get("name")
-            wall = stage.get("wall_s")
-            if not isinstance(name, str):
-                continue
-            if not isinstance(wall, (int, float)) or isinstance(wall, bool):
-                continue
-            series.setdefault(
-                f"hotspots:stage.{name}.wall_s", []).append(SeriesPoint(
-                    seq=bench.session_seq(path) or 0, label=path.name,
-                    value=float(wall)))
-    return series
-
-
 def analyze_trajectory(
     root: Optional[Path] = None,
     window: int = DEFAULT_WINDOW,
@@ -307,16 +281,7 @@ def analyze_trajectory(
             report.environment_drift.append(f"{path.name}: unreadable ({exc})")
             continue
         report.sessions.append(path.name)
-    hotspot_documents: List[Tuple[Path, Mapping[str, object]]] = []
-    for path in bench.session_paths(root, hotspots.PREFIX):
-        try:
-            hotspot_documents.append((path, hotspots.load_document(path)))
-        except ReproError as exc:
-            report.environment_drift.append(f"{path.name}: unreadable ({exc})")
-            continue
-        report.sessions.append(path.name)
     all_series = bench_series(bench_sessions)
-    all_series.update(hotspot_series(hotspot_documents))
     report.metrics = [
         analyze_series(metric, all_series[metric], window=window,
                        sigmas=sigmas, rel_floor=rel_floor,

@@ -56,18 +56,13 @@ def build_ksp_table(
     once per pair.  Repeats count as ``routing.ksp.memo_hits``.
     """
     table = RoutingTable(name=f"ksp{k}[{net.name}]")
-    pair_list = list(pairs)
-    progress = obs.ProgressTracker("routing.build_ksp_table",
-                                   total=len(pair_list))
     with obs.span("build_ksp_table", k=k, net=net.name):
-        for src, dst in pair_list:
+        for src, dst in pairs:
             if src != dst:
                 if table.has_route(src, dst):
                     obs.incr("routing.ksp.memo_hits")
                 else:
                     table.add(k_shortest_paths(net, src, dst, k=k))
-            progress.advance()
-        progress.finish()
     return table
 
 

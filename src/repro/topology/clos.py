@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import obs
 from repro.errors import TopologyError
 from repro.topology.elements import (
     AggSwitch,
@@ -193,7 +192,6 @@ def build_clos(params: ClosParams, name: str = "clos") -> Network:
     net = Network(name)
     add_clos_switches(net, params)
     add_intra_pod_bipartite(net, params)
-    progress = obs.ProgressTracker("topology.build_clos", total=params.pods)
     for p in range(params.pods):
         for j in range(params.d):
             agg = AggSwitch(p, params.agg_of_edge(j))
@@ -202,6 +200,4 @@ def build_clos(params: ClosParams, name: str = "clos") -> Network:
             edge = EdgeSwitch(p, j)
             for slot in range(params.servers_per_edge):
                 net.add_server(params.server_id(p, j, slot), edge)
-        progress.advance()
-    progress.finish()
     return net

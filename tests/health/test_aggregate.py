@@ -185,47 +185,3 @@ class TestHealthSinkTee:
                  if e["name"] == "health.alert_firing"]
         assert len(fired) == 1
         assert agg.events == 1
-
-
-class TestProgressHeartbeats:
-    def beat(self, **fields):
-        base = {"ts": 1.0, "name": "progress.heartbeat", "kind": "event",
-                "value": 1, "phase": "routing.build_ksp_table",
-                "done": 3, "total": 12, "elapsed_s": 0.5, "eta_s": 1.5,
-                "rss_kb": 40960.0}
-        base.update(fields)
-        return base
-
-    def test_latest_heartbeat_kept_per_phase(self):
-        agg = HealthAggregator()
-        agg.consume(self.beat(done=3))
-        agg.consume(self.beat(done=7, eta_s=0.8))
-        agg.consume(self.beat(phase="mcf.approx", done=1, total=0))
-        assert set(agg.progress) == {"routing.build_ksp_table", "mcf.approx"}
-        ksp = agg.progress["routing.build_ksp_table"]
-        assert ksp["done"] == 7
-        assert ksp["eta_s"] == 0.8
-        assert agg.progress["mcf.approx"]["total"] == 0
-
-    def test_heartbeat_without_phase_ignored(self):
-        agg = HealthAggregator()
-        agg.consume(self.beat(phase=""))
-        assert agg.progress == {}
-
-    def test_progress_panel_rendered_in_top_frame(self):
-        from repro.health.top import render_frame
-
-        agg = HealthAggregator()
-        agg.consume(self.beat(done=9))
-        frame = render_frame(agg)
-        assert "progress" in frame
-        assert "routing.build_ksp_table" in frame
-        assert "9/12" in frame
-        assert "eta 1.5s" in frame
-        assert "rss 40M" in frame
-
-    def test_frame_omits_panel_without_heartbeats(self):
-        from repro.health.top import render_frame
-
-        frame = render_frame(HealthAggregator())
-        assert "progress" not in frame

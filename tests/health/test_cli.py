@@ -1,4 +1,4 @@
-"""CLI surfaces: flattree health / flattree top, end to end."""
+"""CLI surface: flattree health, end to end."""
 
 from __future__ import annotations
 
@@ -65,29 +65,6 @@ class TestHealthCommand:
         body = json.loads(report.read_text(encoding="utf-8"))
         assert body["schema"] == "flattree.health/1"
         assert "flattree_link_gini" in prom.read_text(encoding="utf-8")
-
-
-class TestTopCommand:
-    def test_once_prints_single_frame(self, capsys, trace_path):
-        code, out = run_cli(capsys, "top", "--trace", str(trace_path),
-                            "--once")
-        assert code == 0
-        assert out.count("flattree top") == 1
-        assert "\x1b[" not in out, "--once must not emit ANSI"
-        assert "s2->s3" in out
-        assert "slo budgets:" in out
-
-    def test_live_replay_repaints(self, capsys, trace_path):
-        code, out = run_cli(capsys, "top", "--trace", str(trace_path),
-                            "--every", "100")
-        assert code == 0
-        assert out.count("flattree top") > 1
-        assert "\x1b[H\x1b[J" in out
-
-    def test_missing_trace_exits_two(self, capsys, tmp_path):
-        code, _ = run_cli(capsys, "top", "--trace",
-                          str(tmp_path / "nope.jsonl"), "--once")
-        assert code == 2
 
 
 class TestRecordedRunRoundTrip:

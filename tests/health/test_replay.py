@@ -86,11 +86,3 @@ class TestRenderings:
                 continue
             assert len(line.rsplit(" ", 1)) == 2
             float(line.rsplit(" ", 1)[1])
-
-    def test_dashboard_frame_is_pure_and_deterministic(self, hotspot_lines):
-        frame1 = health.render_frame(judged(hotspot_lines))
-        frame2 = health.render_frame(judged(hotspot_lines))
-        assert frame1 == frame2
-        assert "hot links" in frame1
-        assert "slo budgets:" in frame1
-        assert "alerts: 0 firing" in frame1

@@ -50,10 +50,6 @@ def solve_concurrent_approx_oracle(
     phases = 0
     trees = 0
     budget = max_phases if max_phases is not None else _phase_budget(epsilon, num_arcs)
-    # The phase budget is a theoretical worst case; d_value usually
-    # crosses 1.0 far earlier, so the heartbeat ETA here is an upper
-    # bound that only tightens (the clamp keeps it monotone).
-    progress = obs.ProgressTracker("mcf.approx", total=budget)
     with obs.span("mcf.approx", groups=problem.num_groups, arcs=num_arcs), \
             obs.timer("mcf.approx.solve_s"):
         while d_value < 1.0 and phases < budget:
@@ -89,8 +85,6 @@ def solve_concurrent_approx_oracle(
                     d_value += float((lengths * (bump - 1.0) * cap).sum())
                     lengths *= bump
             phases += 1
-            progress.advance()
-        progress.finish()
 
     obs.incr("mcf.approx.solves")
     obs.incr("mcf.approx.phases", phases)

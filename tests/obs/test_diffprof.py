@@ -112,24 +112,7 @@ class TestSpanTreeDiff:
         assert "critical paths diverge at depth 1" in text
 
 
-class TestHotspotAndBenchDiff:
-    def doc(self, mcf_s):
-        return {
-            "schema": "flattree.hotspots/1",
-            "duration_s": 1.0 + mcf_s,
-            "functions": [
-                {"key": "repro/core/mcf.py:solve", "self_samples": 50,
-                 "cum_samples": 60, "self_s": mcf_s, "cum_s": mcf_s},
-                {"key": "repro/core/build.py:build", "self_samples": 10,
-                 "cum_samples": 10, "self_s": 1.0, "cum_s": 1.0},
-            ],
-        }
-
-    def test_hotspot_diff_attributes_the_step(self):
-        diff = diffprof.diff_hotspot_documents(self.doc(0.5), self.doc(5.0))
-        assert diff.exit_code == 1
-        assert [d.path for d in diff.grown] == ["repro/core/mcf.py:solve"]
-
+class TestBenchDiff:
     def test_bench_diff_attributes_the_step(self):
         base = {"benchmarks": {"a.py::slow": {"wall_s": 0.1, "rounds": 1},
                                "a.py::ok": {"wall_s": 0.2, "rounds": 1}}}

@@ -151,6 +151,31 @@ class TestSpanContext:
             if event["kind"] == "span" and event["parent_id"] is not None:
                 assert event["parent_id"] < event["span_id"]
 
+    def test_worker_thread_span_is_a_root(self, memory_sink):
+        # The span stack is per thread: a span a worker opens (the
+        # self-heal loop's, say) never nests under the main thread's
+        # open span, and leaves the main thread's parentage intact.
+        import threading
+
+        def work():
+            with obs.span("worker"):
+                pass
+
+        with obs.span("outer"):
+            worker = threading.Thread(target=work)
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            with obs.span("after"):
+                pass
+        spans = {e["name"]: e for e in memory_sink.events
+                 if e["kind"] == "span"}
+        assert spans["worker"]["parent_id"] is None
+        assert spans["worker"]["path"] == "worker"
+        assert spans["worker"]["depth"] == 0
+        assert spans["after"]["parent_id"] == spans["outer"]["span_id"]
+        assert spans["after"]["path"] == "outer/after"
+
 
 class TestTracemalloc:
     def test_mem_peak_recorded_when_enabled(self, clean_obs):
@@ -277,39 +302,3 @@ class TestInstrumentedPaths:
         assert snap["flowsim.flows_completed"]["value"] == 2
         assert snap["flowsim.events"]["value"] >= 2
         assert snap["flowsim.fairshare_recomputes"]["value"] >= 1
-
-
-class TestActiveSpanPath:
-    """Cross-thread span-path mirror consumed by the sampling profiler."""
-
-    def test_empty_without_spans(self, clean_obs):
-        assert obs.active_span_path() == ""
-
-    def test_tracks_nesting(self, memory_sink):
-        with obs.span("outer"):
-            assert obs.active_span_path() == "outer"
-            with obs.span("inner"):
-                assert obs.active_span_path() == "outer/inner"
-            assert obs.active_span_path() == "outer"
-        assert obs.active_span_path() == ""
-
-    def test_readable_from_another_thread(self, memory_sink):
-        import threading
-
-        target = threading.get_ident()
-        seen = []
-        with obs.span("phase"):
-            worker = threading.Thread(
-                target=lambda: seen.append(obs.active_span_path(target)))
-            worker.start()
-            worker.join()
-            # And the worker thread itself has no active span.
-            assert obs.active_span_path() == "phase"
-        assert seen == ["phase"]
-
-    def test_cleared_on_disable(self, memory_sink):
-        span = obs.span("orphan")
-        span.__enter__()
-        obs.disable()
-        assert obs.active_span_path() == ""
-        span.__exit__(None, None, None)  # guarded pop: must not raise

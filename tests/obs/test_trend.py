@@ -9,8 +9,8 @@ import pytest
 from repro.obs import bench, trend
 
 
-def points(values, prefix="BENCH"):
-    return [trend.SeriesPoint(seq=i + 1, label=f"{prefix}_{i + 1}.json",
+def points(values):
+    return [trend.SeriesPoint(seq=i + 1, label=f"BENCH_{i + 1}.json",
                               value=v)
             for i, v in enumerate(values)]
 
@@ -144,25 +144,6 @@ class TestTrajectory:
         assert any("BENCH_4.json" in note
                    for note in report.environment_drift)
         assert "BENCH_4.json" not in report.sessions
-
-    def test_hotspot_stages_become_metrics(self, tmp_path):
-        documents = []
-        for seq, mcf in enumerate((1.0, 1.1, 0.9, 9.0), start=1):
-            doc = {"schema": "flattree.hotspots/1", "ts": 1.0, "label": "t",
-                   "k": 8, "hz": 97.0, "duration_s": 2.0 + mcf,
-                   "samples": 100, "environment": {},
-                   "stages": [{"name": "mcf", "span": "campaign/mcf",
-                               "wall_s": mcf, "samples": 50},
-                              {"name": "build", "span": "campaign/build",
-                               "wall_s": 1.0, "samples": 50}],
-                   "functions": [], "folded": []}
-            documents.append((tmp_path / f"HOTSPOTS_{seq}.json", doc))
-        series = trend.hotspot_series(documents)
-        assert set(series) == {"hotspots:stage.mcf.wall_s",
-                               "hotspots:stage.build.wall_s"}
-        result = trend.analyze_series("hotspots:stage.mcf.wall_s",
-                                      series["hotspots:stage.mcf.wall_s"])
-        assert result.status == "step-up"
 
 
 class TestRenderingAndEvent:

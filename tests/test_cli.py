@@ -172,6 +172,19 @@ class TestMonitor:
         assert code == 0
         assert "retention 8" in out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--bins", "0"),    # was IndexError in heatmap_table
+        ("--flows", "-3"),  # was ValueError from random.sample
+        ("--top", "-1"),    # silently dropped the least-busy link
+    ])
+    def test_out_of_range_count_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["monitor", "--k", "4", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: flattree monitor" in err
+        assert f"argument {flag}: must be >=" in err
+
 
 class TestDownscale:
     def test_downscale_runs(self, capsys):
@@ -289,6 +302,15 @@ class TestBenchCommand:
         assert entry["wall_s"] >= 0
         assert entry["metrics"] == {}
         assert session["environment"]["python"]
+
+    @pytest.mark.parametrize("command", ["top", "hotspots"])
+    def test_retired_subcommand_is_gone(self, capsys, command):
+        # "Is the fabric healthy" is flattree health; "where did the
+        # time go" is a span trace plus perfreport profile.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
     def test_trend_subcommand_is_gone(self, capsys):
         # The trajectory gate has one front end: perfreport trend.

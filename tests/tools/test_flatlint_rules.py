@@ -94,6 +94,18 @@ class TestFT001Determinism:
         out_of_scope = lint_snippet(tmp_path, "src/repro/topology/ok.py", bad)
         assert out_of_scope == []
 
+    def test_wall_clock_fires_in_the_health_plane(self, tmp_path):
+        # Health judgments run on the trace clock ``t``; a host clock
+        # would make two replays of one trace judge differently.
+        findings = lint_snippet(tmp_path, "src/repro/health/bad.py", """\
+            import time
+
+            def now():
+                return time.time()
+            """)
+        assert codes(findings) == ["FT001"]
+        assert "repro.health.bad" in findings[0].message
+
     def test_datetime_now_fires_in_experiments(self, tmp_path):
         findings = lint_snippet(
             tmp_path, "src/repro/experiments/bad.py", """\
@@ -635,7 +647,7 @@ class TestFT007DeterminismTaint:
         assert findings == []
 
     # The diff/trend report writers are replay-critical sinks like the
-    # BENCH_*/HOTSPOTS_* writers: their reports must be byte-identical
+    # BENCH_* writer: their reports must be byte-identical
     # across replays, so a wall clock flowing in must fire.
     DIFF_TAINTED = """\
         import time

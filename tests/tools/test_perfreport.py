@@ -200,6 +200,12 @@ class TestCompareCli:
         assert excinfo.value.code == 2
         assert "invalid choice: 'compare'" in capsys.readouterr().err
 
+    def test_hotspots_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["hotspots"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'hotspots'" in capsys.readouterr().err
+
 
 def write_trace(tmp_path):
     events = [
@@ -299,57 +305,6 @@ class TestCompareAutoSelect:
         assert "grown" in capsys.readouterr().out
 
 
-def write_hotspots(tmp_path):
-    from repro.obs import hotspots
-    from repro.obs.sampler import SampleProfile
-
-    counts = {
-        ("hotspots.campaign/hotspots.mcf", ("mod.solve", "mod.dijkstra")): 8,
-        ("hotspots.campaign/hotspots.build", ("mod.build",)): 2,
-    }
-    profile = SampleProfile(counts, samples=10, duration_s=2.0, hz=97.0)
-    stages = [
-        {"name": "build", "span": "hotspots.campaign/hotspots.build",
-         "wall_s": 0.5},
-        {"name": "mcf", "span": "hotspots.campaign/hotspots.mcf",
-         "wall_s": 1.5},
-    ]
-    document = hotspots.build_document(profile, stages, k=8, label="test")
-    path = tmp_path / "HOTSPOTS_1.json"
-    hotspots.write_document(path, document)
-    return str(path)
-
-
-class TestHotspotsCli:
-    def test_renders_valid_artifact(self, tmp_path, capsys):
-        assert main(["hotspots", write_hotspots(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "mod.dijkstra" in out
-        assert "mcf" in out
-
-    def test_json_format_round_trips(self, tmp_path, capsys):
-        assert main(["hotspots", write_hotspots(tmp_path),
-                     "--format", "json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["samples"] == 10
-
-    def test_folded_re_export(self, tmp_path, capsys):
-        folded = tmp_path / "campaign.folded"
-        assert main(["hotspots", write_hotspots(tmp_path),
-                     "--folded", str(folded)]) == 0
-        lines = folded.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 2
-        for line in lines:
-            stack, _, weight = line.rpartition(" ")
-            assert stack and int(weight) > 0
-
-    def test_bad_artifact_exits_two(self, tmp_path, capsys):
-        bad = tmp_path / "HOTSPOTS_1.json"
-        bad.write_text('{"schema": "nope"}\n', encoding="utf-8")
-        assert main(["hotspots", str(bad)]) == 2
-        assert "perfreport:" in capsys.readouterr().err
-
-
 class TestAutoSelectNotices:
     def test_single_session_message_names_the_session(self, tmp_path,
                                                       capsys):
@@ -402,18 +357,13 @@ class TestDiffCli:
 
     def test_trace_diff_via_jsonl_inputs(self, tmp_path, capsys):
         base = write_trace(tmp_path)
-        assert main(["diff", base, base]) == 0
+        folded = tmp_path / "diff.folded"
+        assert main(["diff", base, base, "--folded", str(folded)]) == 0
         out = capsys.readouterr().out
         assert "perfreport diff (trace)" in out
         assert "critical path" in out
-
-    def test_hotspot_diff_and_folded_export(self, tmp_path, capsys):
-        artifact = write_hotspots(tmp_path)
-        folded = tmp_path / "diff.folded"
-        assert main(["diff", artifact, artifact,
-                     "--folded", str(folded)]) == 0
         lines = folded.read_text(encoding="utf-8").splitlines()
-        assert lines
+        assert "cli;convert 250000 250000" in lines
         for line in lines:
             stack, base_us, new_us = line.rsplit(" ", 2)
             assert stack
@@ -451,10 +401,18 @@ class TestDiffCli:
         assert document["grown"] == 0
 
     def test_unrecognized_input_exits_two(self, tmp_path, capsys):
-        bad = tmp_path / "mystery.json"
-        bad.write_text('{"what": "is this"}\n', encoding="utf-8")
-        assert main(["diff", str(bad), str(bad)]) == 2
-        assert "neither" in capsys.readouterr().err
+        # The second is a leftover sampling-profiler campaign artifact,
+        # a kind perfreport no longer reads.
+        documents = {
+            "mystery.json": {"what": "is this"},
+            "campaign.json": {"schema": "flattree.hotspots/1", "k": 8,
+                              "stages": [], "functions": [], "folded": []},
+        }
+        for name, document in documents.items():
+            bad = tmp_path / name
+            bad.write_text(json.dumps(document) + "\n", encoding="utf-8")
+            assert main(["diff", str(bad), str(bad)]) == 2, name
+            assert "neither" in capsys.readouterr().err
 
 
 class TestTrendCli:

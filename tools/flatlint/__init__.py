@@ -21,7 +21,7 @@ invariants rather than generic style:
   either route; bare ``.acquire()``; threads without a teardown path;
 * **FT007 determinism-taint** — interprocedural: wall-clock / RNG /
   entropy values flowing through the call graph into replay-critical
-  sinks (remediation ledger, health reports, bench/hotspot artifacts),
+  sinks (remediation ledger, health reports, bench artifacts),
   reported with the full source-to-sink call path.
 
 FT006/FT007 run on a whole-program symbol table and call graph

@@ -1,11 +1,10 @@
 """FT006 — concurrency safety across the thread boundary.
 
-The repo runs three daemon threads (the sampling profiler, the health
-tee on the telemetry bus, the self-heal loop) against state that main-
-thread code also touches: the aggregator consumed live *and* replayed
-offline, the remediation engine polled from both sides, the sampler's
-duration bookkeeping.  A per-file linter cannot see that boundary;
-this rule walks the whole-program call graph instead.
+The repo runs two daemon threads (the health tee on the telemetry bus,
+the self-heal loop) against state that main-thread code also touches:
+the aggregator consumed live *and* replayed offline, the remediation
+engine polled from both sides.  A per-file linter cannot see that
+boundary; this rule walks the whole-program call graph instead.
 
 The analysis:
 

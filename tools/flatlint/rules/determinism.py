@@ -10,8 +10,9 @@ that property and are flagged here:
   ``random.Random`` / ``numpy.random.default_rng`` instance;
 * **wall clock in simulation code** — ``time.time()`` /
   ``datetime.now()`` inside ``repro.chaos`` / ``repro.flowsim`` /
-  ``repro.experiments``, where all time must come from the simulated
-  clock (telemetry timestamps in ``repro.obs`` are exempt by scope);
+  ``repro.experiments`` / ``repro.health``, where all time must come
+  from the simulated clock (telemetry timestamps in ``repro.obs`` are
+  exempt by scope);
 * **ordered consumption of unordered sets** — iterating a bare
   ``set(...)`` (or set union/intersection) into a list, loop, join or
   RNG choice leaks ``PYTHONHASHSEED``-dependent ordering into output;
@@ -44,8 +45,10 @@ _WALL_CLOCK = {
     "datetime.date.today",
 }
 
-#: Packages whose code runs inside the simulated timeline.
-_WALL_CLOCK_SCOPES = ("repro.chaos", "repro.flowsim", "repro.experiments")
+#: Packages whose code runs inside the simulated timeline.  The health
+#: plane judges by the trace clock ``t``, never the host's.
+_WALL_CLOCK_SCOPES = ("repro.chaos", "repro.flowsim", "repro.experiments",
+                      "repro.health")
 
 #: Callees whose arguments become an RNG seed (matched by final name,
 #: so ``rng.seed(...)`` on a local generator counts too).

@@ -5,14 +5,12 @@ and judges them; the judging lives in the library, one module per
 question:
 
 * ``diff BASE NEW`` — the pairwise gate (:mod:`repro.obs.diffprof`):
-  two ``BENCH_*.json`` sessions, ``HOTSPOTS_*.json`` campaigns or
-  telemetry traces, with a 25% tolerance, a 5 ms floor, environment
+  two ``BENCH_*.json`` sessions or telemetry traces, with a 25% tolerance, a 5 ms floor, environment
   drift notes and per-path attribution;
 * ``trend`` — the trajectory gate (:mod:`repro.obs.trend`): every
   numbered session against its own MAD noise band;
 * ``profile`` / ``flamegraph`` — the span profiler
-  (:mod:`repro.obs.perf`); ``hotspots`` — a campaign artifact
-  (:mod:`repro.obs.hotspots`).
+  (:mod:`repro.obs.perf`).
 
 Exit codes mirror ``tools.flatlint``: 0 clean, 1 regressions found,
 2 usage errors (unreadable file, schema violation).  See

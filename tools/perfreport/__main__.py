@@ -5,22 +5,17 @@
   self time plus the critical path.
 * ``flamegraph RUN.jsonl`` — folded stacks (``a;b;c <usec>``) for
   ``flamegraph.pl`` / speedscope, to stdout or ``--out``.
-* ``hotspots HOTSPOTS_N.json`` — render a sampling-profiler campaign
-  artifact (``flattree hotspots``): stage wall/sample table, top
-  functions by self time with their span context, and ``--folded``
-  re-export of the captured stacks.
 * ``diff [BASE NEW]`` — the pairwise gate: attribute the wall-time
-  delta between two recordings per span path / function
-  (``repro.obs.diffprof``); inputs may be telemetry JSONL traces,
-  ``HOTSPOTS_*.json`` campaigns, or ``BENCH_*.json`` sessions (kinds
-  auto-detected, must match).  With no paths it auto-selects the two
-  newest numbered repo-root bench sessions (exit 0 with a message when
-  fewer than two exist).  ``--folded`` writes a differential
+  delta between two recordings per span path / bench
+  (``repro.obs.diffprof``); inputs may be telemetry JSONL traces or
+  ``BENCH_*.json`` sessions (kinds auto-detected, must match).  With
+  no paths it auto-selects the two newest numbered repo-root bench
+  sessions (exit 0 with a message when fewer than two exist).  ``--folded`` writes a differential
   folded-stack file (``stack base_us new_us``) for red/blue flame
   graphs.  Exit 0 clean, 1 when any path grew beyond tolerance, 2
   usage errors — the same convention as ``tools.flatlint``.
 * ``trend`` — trajectory-aware regression analytics over every
-  numbered ``BENCH_*.json`` / ``HOTSPOTS_*.json`` session
+  numbered ``BENCH_*.json`` session
   (``repro.obs.trend``): MAD noise bands over the trailing window,
   step-change detection on the newest point.  Exit 1 on a step-up.
 """
@@ -129,35 +124,12 @@ def _cmd_flamegraph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_hotspots(args: argparse.Namespace) -> int:
-    from repro.obs import hotspots as hotspot_docs
-
-    try:
-        document = hotspot_docs.load_document(Path(args.artifact))
-    except ReproError as exc:
-        print(f"perfreport: {exc}", file=sys.stderr)
-        return 2
-    if args.folded:
-        folded = document.get("folded") or []
-        Path(args.folded).write_text(
-            "\n".join(folded) + ("\n" if folded else ""), encoding="utf-8")
-        print(f"perfreport: wrote {len(folded)} folded stacks to "
-              f"{args.folded}")
-    if args.format == "json":
-        print(json.dumps(document, indent=1, sort_keys=True))
-    else:
-        print(hotspot_docs.render_document(document, top=args.top))
-    return 0
-
-
 def _load_recording(path: str) -> Optional[tuple]:
     """(kind, payload) for a diffable recording, else None after a message.
 
-    ``.jsonl`` files are telemetry traces; JSON documents are sniffed
-    by schema — ``flattree.hotspots/1`` campaigns vs bench sessions.
+    ``.jsonl`` files are telemetry traces; a JSON document with a
+    ``benchmarks`` object is a bench session.
     """
-    from repro.obs import hotspots as hotspot_docs
-
     if path.endswith(".jsonl"):
         profile = _load_profile(path)
         return ("trace", profile) if profile is not None else None
@@ -169,31 +141,15 @@ def _load_recording(path: str) -> Optional[tuple]:
     if not isinstance(raw, dict):
         print(f"perfreport: {path}: expected a JSON object", file=sys.stderr)
         return None
-    try:
-        if raw.get("schema") == hotspot_docs.SCHEMA:
-            return "hotspots", hotspot_docs.load_document(Path(path))
-        if "benchmarks" in raw:
+    if "benchmarks" in raw:
+        try:
             return "bench", bench_sessions.load_session(Path(path))
-    except ReproError as exc:
-        print(f"perfreport: {exc}", file=sys.stderr)
-        return None
-    print(f"perfreport: {path}: neither a BENCH_*.json session, a "
-          "HOTSPOTS_*.json campaign, nor a .jsonl telemetry trace",
-          file=sys.stderr)
+        except ReproError as exc:
+            print(f"perfreport: {exc}", file=sys.stderr)
+            return None
+    print(f"perfreport: {path}: neither a BENCH_*.json session nor a "
+          ".jsonl telemetry trace", file=sys.stderr)
     return None
-
-
-def _diff_folded(kind: str, base: object, new: object) -> List[str]:
-    from repro.obs import diffprof
-
-    if kind == "trace":
-        return diffprof.subtract_folded(
-            diffprof.parse_folded(base.folded()),
-            diffprof.parse_folded(new.folded()))
-    base_folded = base.get("folded") or []
-    new_folded = new.get("folded") or []
-    return diffprof.subtract_folded(diffprof.parse_folded(base_folded),
-                                    diffprof.parse_folded(new_folded))
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -220,23 +176,22 @@ def _cmd_diff(args: argparse.Namespace) -> int:
               f"a {new_rec[0]} recording — pass two of the same kind",
               file=sys.stderr)
         return 2
-    kind = base_rec[0]
-    differs = {
-        "trace": diffprof.diff_profiles,
-        "hotspots": diffprof.diff_hotspot_documents,
-        "bench": diffprof.diff_bench_sessions,
-    }
-    diff = differs[kind](
-        base_rec[1], new_rec[1],
+    kind, base, new = base_rec[0], base_rec[1], new_rec[1]
+    differ = (diffprof.diff_profiles if kind == "trace"
+              else diffprof.diff_bench_sessions)
+    diff = differ(
+        base, new,
         tolerance=args.tolerance, min_runtime_s=args.min_runtime,
         base_label=Path(base_path).name, new_label=Path(new_path).name)
     if args.folded:
         if kind == "bench":
             print("perfreport: --folded needs stack recordings — bench "
-                  "sessions carry no stacks (diff traces or "
-                  "HOTSPOTS_*.json campaigns instead)", file=sys.stderr)
+                  "sessions carry no stacks (diff two telemetry traces "
+                  "instead)", file=sys.stderr)
             return 2
-        lines = _diff_folded(kind, base_rec[1], new_rec[1])
+        lines = diffprof.subtract_folded(
+            diffprof.parse_folded(base.folded()),
+            diffprof.parse_folded(new.folded()))
         Path(args.folded).write_text(
             "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
         print(f"perfreport: wrote {len(lines)} differential folded "
@@ -299,23 +254,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.set_defaults(handler=_cmd_flamegraph)
 
     p = sub.add_parser(
-        "hotspots",
-        help="render a HOTSPOTS_*.json campaign artifact "
-             "(flattree hotspots)")
-    p.add_argument("artifact", help="HOTSPOTS_*.json from flattree hotspots")
-    p.add_argument("--top", type=int, default=20,
-                   help="rows in the function table (default 20)")
-    p.add_argument("--folded", default=None, metavar="PATH",
-                   help="also re-export the folded stacks for "
-                        "flamegraph.pl / speedscope")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=_cmd_hotspots)
-
-    p = sub.add_parser(
         "diff", help="pairwise regression gate: attribute the wall-time "
-                     "delta between two recordings (traces, "
-                     "HOTSPOTS_*.json, or BENCH_*.json); with no paths, "
-                     "the two newest numbered bench sessions")
+                     "delta between two recordings (traces or "
+                     "BENCH_*.json); with no paths, the two newest "
+                     "numbered bench sessions")
     p.add_argument("base", nargs="?", default=None,
                    help="baseline recording (default: second-newest "
                         "repo-root BENCH_<seq>.json)")
@@ -338,7 +280,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--folded", default=None, metavar="PATH",
                    help="write differential folded stacks (stack "
                         "base_us new_us) for red/blue flame graphs; "
-                        "traces and hotspot campaigns only")
+                        "traces only")
     p.add_argument("--top", type=int, default=30,
                    help="rows in the attribution table (default 30)")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -346,7 +288,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p = sub.add_parser(
         "trend", help="trajectory-aware regression analytics over every "
-                      "numbered BENCH_*/HOTSPOTS_* session")
+                      "numbered BENCH_* session")
     p.add_argument("--root", default=None, metavar="DIR",
                    help="directory scanned for numbered sessions "
                         "(default: the repo root)")

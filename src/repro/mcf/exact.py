@@ -17,20 +17,48 @@ where ``b_g(s_g) = Σ_t d_g(t)``, ``b_g(t) = -d_g(t)``, else 0.  Source
 aggregation is exact for concurrent flow: any per-commodity solution sums
 to a group solution, and a group solution decomposes back by flow
 decomposition.
+
+Solving is a chain of three ``linprog`` attempts, each failure counted
+in ``mcf.exact.method_fallbacks``:
+
+1. HiGHS interior point with crossover off.  Crossover turns the
+   interior optimum into a vertex, and took a quarter to a third of each
+   Figure 8 solve; every caller reads λ, and flows need to be feasible,
+   not basic.  The optimality tolerance is 1e-10, not HiGHS's 1e-8: at
+   1e-8, λ drifted up to 4.5e-9 relative from the vertex answer on the
+   16 Figure 8 LPs at k = 4 and 6, past the 1e-9 the pinned Figure 8
+   ratios allow.  At 1e-10, for at most two more IPM iterations, the
+   drift was at most 3.5e-13 there, and 9.1e-10 on the 8 LPs at k = 8
+   (dual simplex is 8.9e-9 off the vertex on that LP).
+2. HiGHS interior point with crossover, at HiGHS's defaults.
+3. ``method="highs"``: HiGHS picks the solver.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeWarning, linprog
 
 from repro import obs
 from repro.errors import SolverError
 from repro.mcf.commodities import FlowProblem
+
+#: The solve chain, first to last: ``(method, options)`` per attempt.
+#: ``linprog`` has no ``run_crossover`` parameter; it passes the option
+#: to HiGHS verbatim.  The two fallbacks are plain ``linprog`` calls.
+_ATTEMPTS = (
+    ("highs-ipm", {"run_crossover": "off", "ipm_optimality_tolerance": 1e-10}),
+    ("highs-ipm", None),
+    ("highs", None),
+)
+
+#: The one warning ``linprog`` raises while forwarding ``run_crossover``.
+_FORWARDED_OPTION = r"Unrecognized options detected: \{'run_crossover'"
 
 
 @dataclass
@@ -115,21 +143,26 @@ def solve_concurrent_exact(
 
     # Interior point is an order of magnitude faster than simplex on
     # these node-arc MCF formulations (measured: 15s vs 187s on a
-    # jellyfish(k=8) all-to-all instance) and reaches the same optimum;
-    # simplex remains as the fallback for the rare IPM non-convergence.
+    # jellyfish(k=8) all-to-all instance); without crossover it is a
+    # quarter to a third faster again on Figure 8's LPs (module docstring).
     result = None
     with obs.span("mcf.exact", groups=num_groups, arcs=num_arcs), \
             obs.timer("mcf.exact.solve_s"):
-        for method in ("highs-ipm", "highs"):
-            result = linprog(
-                c,
-                A_ub=a_ub,
-                b_ub=b_ub,
-                A_eq=a_eq,
-                b_eq=b_eq,
-                bounds=(0, None),
-                method=method,
-            )
+        for method, options in _ATTEMPTS:
+            with warnings.catch_warnings():
+                warnings.filterwarnings(
+                    "ignore", message=_FORWARDED_OPTION,
+                    category=OptimizeWarning)
+                result = linprog(
+                    c,
+                    A_ub=a_ub,
+                    b_ub=b_ub,
+                    A_eq=a_eq,
+                    b_eq=b_eq,
+                    bounds=(0, None),
+                    method=method,
+                    options=options,
+                )
             if result.success:
                 break
             obs.incr("mcf.exact.method_fallbacks")

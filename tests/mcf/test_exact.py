@@ -2,21 +2,105 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
+import warnings
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult, linprog
 
+from repro import obs
+from repro.core.conversion import Mode
 from repro.errors import SolverError
+from repro.experiments.common import flat_tree_network, placement_rng
+from repro.experiments.fig8_alltoall import all_to_all_workload
+from repro.mcf import exact
 from repro.mcf.commodities import Commodity, FlowProblem, build_flow_problem
 from repro.mcf.exact import solve_concurrent_exact
 from repro.mcf.maxflow import concurrent_upper_bound, single_pair_max_flow
+from repro.obs.sinks import MemorySink
+from repro.topology.clos import fat_tree_params
 from repro.topology.elements import Network, PlainSwitch
 from repro.topology.fattree import build_fat_tree
 from repro.topology.jellyfish import build_jellyfish_like_fat_tree
+from repro.traffic.clusters import cluster_count, make_clusters
+from repro.traffic.patterns import all_to_all_commodities
+from repro.traffic.placement import placement_by_name
 
 import numpy as np
+
+
+@pytest.fixture()
+def counter():
+    """Telemetry on for one test; yields a reader of counter values."""
+    obs.disable()
+    obs.registry.reset()
+    obs.enable(MemorySink())
+    yield lambda name: obs.registry.snapshot().get(name, {}).get("value", 0)
+    obs.disable()
+    obs.registry.reset()
+
+
+@contextlib.contextmanager
+def linprog_calls(failures=0):
+    """Record the ``linprog`` calls ``solve_concurrent_exact`` makes.
+
+    The first ``failures`` calls fail without solving; later ones run.
+    Yields the list of ``(kwargs, result)``, one entry per call.
+    """
+    calls = []
+
+    def recording_linprog(*args, **kwargs):
+        if len(calls) < failures:
+            result = OptimizeResult(
+                success=False, message=f"attempt {len(calls) + 1} failed")
+        else:
+            result = linprog(*args, **kwargs)
+        calls.append((kwargs, result))
+        return result
+
+    with mock.patch.object(exact, "linprog", recording_linprog):
+        yield calls
+
+
+def vertex_lambda(problem):
+    """λ from the plain ``highs-ipm`` call, which ends in a crossover."""
+    with linprog_calls(failures=1) as calls:
+        lam = solve_concurrent_exact(problem).throughput
+    assert len(calls) == 2
+    assert calls[1][0]["method"] == "highs-ipm"
+    assert calls[1][0]["options"] is None
+    return lam
+
+
+def fig8_k4_problem():
+    """Figure 8's k=4 weak-locality fat-tree LP (seed 0).
+
+    With crossover on, HiGHS runs 15 IPM and 162 crossover iterations.
+    """
+    workload = all_to_all_workload(
+        fat_tree_params(4), "weak locality", placement_rng(0, "weak locality"))
+    return build_flow_problem(build_fat_tree(4), workload)
+
+
+def assert_certified_flows(problem, result, atol=1e-8):
+    """Flows are non-negative, fit the arcs and carry λ·b per group."""
+    flows = result.flows
+    assert flows is not None
+    assert flows.shape == (problem.num_groups, problem.num_arcs)
+    assert flows.min() >= -atol
+    assert np.all(flows.sum(axis=0) <= problem.arc_cap + atol)
+    n = problem.num_nodes
+    for g, group in enumerate(problem.groups):
+        net_out = (np.bincount(problem.arc_src, flows[g], n)
+                   - np.bincount(problem.arc_dst, flows[g], n))
+        supply = np.zeros(n)
+        supply[group.source] = group.total_demand
+        supply[group.sinks] -= group.demands
+        assert np.abs(net_out - result.throughput * supply).max() <= atol
 
 
 def line_network(n, servers_at):
@@ -125,18 +209,82 @@ class TestFlowsOutput:
             triangle, [Commodity(0, 1), Commodity(1, 2)]
         )
         result = solve_concurrent_exact(problem, return_flows=True)
-        assert result.flows is not None
-        assert result.flows.shape == (problem.num_groups, problem.num_arcs)
-        total = result.flows.sum(axis=0)
-        assert np.all(total <= problem.arc_cap + 1e-8)
+        assert_certified_flows(problem, result)
         util = result.utilization(problem)
         assert util.max() <= 1.0 + 1e-8
+
+    def test_fig8_flows_respect_capacity_and_conservation(self):
+        """An interior-point solution, unrounded by crossover, is feasible."""
+        problem = fig8_k4_problem()
+        result = solve_concurrent_exact(problem, return_flows=True)
+        assert_certified_flows(problem, result)
 
     def test_utilization_requires_flows(self, triangle):
         problem = build_flow_problem(triangle, [Commodity(0, 1)])
         result = solve_concurrent_exact(problem)
         with pytest.raises(SolverError):
             result.utilization(problem)
+
+
+class TestSolveChain:
+    def test_first_attempt_skips_crossover(self, counter):
+        problem = fig8_k4_problem()
+        with linprog_calls() as calls, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve_concurrent_exact(problem)
+        [(kwargs, result)] = calls
+        assert kwargs["method"] == "highs-ipm"
+        assert kwargs["options"]["run_crossover"] == "off"
+        assert result.success
+        assert result.nit > 0
+        assert result.crossover_nit == 0
+        assert counter("mcf.exact.method_fallbacks") == 0
+
+    def test_failed_first_attempt_falls_back_to_vertex_ipm(self, counter):
+        problem = fig8_k4_problem()
+        lam = solve_concurrent_exact(problem).throughput
+        assert vertex_lambda(problem) == pytest.approx(lam, rel=1e-9)
+        assert counter("mcf.exact.method_fallbacks") == 1
+
+    def test_all_attempts_failing_raise_the_last_message(self, counter):
+        problem = fig8_k4_problem()
+        with linprog_calls(failures=3) as calls, \
+                pytest.raises(SolverError, match="attempt 3 failed"):
+            solve_concurrent_exact(problem)
+        assert [kwargs["method"] for kwargs, _ in calls] == [
+            "highs-ipm", "highs-ipm", "highs"]
+        assert counter("mcf.exact.method_fallbacks") == 3
+
+
+@settings(max_examples=8)
+@given(
+    topology=st.sampled_from(("fat-tree", "jellyfish",
+                              "flat-tree local-random",
+                              "flat-tree global-random")),
+    placement=st.sampled_from(("locality", "weak locality", "no locality")),
+    cluster_size=st.integers(min_value=3, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_property_lambda_matches_vertex_solve(
+        topology, placement, cluster_size, seed):
+    """IPM without crossover finds the vertex solve's λ, on random traffic."""
+    rng = random.Random(seed)
+    if topology == "fat-tree":
+        net = build_fat_tree(4)
+    elif topology == "jellyfish":
+        net = build_jellyfish_like_fat_tree(4, rng)
+    elif topology == "flat-tree local-random":
+        net = flat_tree_network(4, Mode.LOCAL_RANDOM)
+    else:
+        net = flat_tree_network(4, Mode.GLOBAL_RANDOM)
+    params = fat_tree_params(4)
+    members = placement_by_name(
+        placement, cluster_count(params.num_servers, cluster_size)
+        * cluster_size, params, cluster_size, rng)
+    problem = build_flow_problem(
+        net, all_to_all_commodities(make_clusters(members, cluster_size)))
+    lam = solve_concurrent_exact(problem).throughput
+    assert lam == pytest.approx(vertex_lambda(problem), rel=1e-9)
 
 
 @given(st.integers(min_value=0, max_value=50))

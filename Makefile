@@ -129,12 +129,12 @@ chaos-smoke:
 # Record a hotspot run, then judge it through the fabric health plane:
 # exactly the link_hotspot alert must fire (exit 1 on any other alert
 # set, 2 on IO/usage errors) and the JSON report must replay
-# byte-identical.  HEALTH_REPORT.json and HEALTH_REPORT.prom are left
-# behind for the CI artifact upload; `make clean` removes them.
+# byte-identical.  HEALTH_REPORT.json is left behind for the CI
+# artifact upload; `make clean` removes it.
 health-smoke:
 	rm -f health-smoke.jsonl
 	PYTHONPATH=src $(PYTHON) -m repro.cli --telemetry=health-smoke.jsonl monitor --k 4 --pattern hotspot --flows 24 > /dev/null
-	PYTHONPATH=src $(PYTHON) -m repro.cli health health-smoke.jsonl --expect link_hotspot --out HEALTH_REPORT.json --prom HEALTH_REPORT.prom
+	PYTHONPATH=src $(PYTHON) -m repro.cli health health-smoke.jsonl --expect link_hotspot --out HEALTH_REPORT.json
 	PYTHONPATH=src $(PYTHON) -m repro.cli health health-smoke.jsonl --expect link_hotspot --json > health-smoke-a.json
 	PYTHONPATH=src $(PYTHON) -m repro.cli health health-smoke.jsonl --expect link_hotspot --json > health-smoke-b.json
 	cmp health-smoke-a.json health-smoke-b.json
@@ -170,6 +170,6 @@ examples:
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .hypothesis
 	rm -f BENCH_smoke.json telemetry-smoke.jsonl TREND_REPORT.json
-	rm -f HEALTH_REPORT.json HEALTH_REPORT.prom health-smoke*.jsonl health-smoke-*.json
+	rm -f HEALTH_REPORT.json health-smoke*.jsonl health-smoke-*.json
 	rm -f HEAL_LEDGER.json heal-smoke*.jsonl heal-smoke-b.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -13,12 +13,11 @@ records a baseline series next to an attached one:
 * ``health`` / ``selfheal`` — differencing two full simulator runs
   cannot resolve a few percent on a noisy box, so these drain the
   monitored run's captured event stream instead
-  (:func:`drain_tax`): through the health aggregator's ``HealthSink``
-  tee, or through the self-heal aggregator with the
-  :class:`~repro.selfheal.engine.RemediationEngine` polled every
-  ``POLL_EVERY`` events (the live loop's tail-batch cadence), versus
-  the bare ``NullSink``.  The attached series is the monitor-only wall
-  time plus that tax.
+  (:func:`drain_tax`): through ``NullSink().emit`` plus the health
+  aggregator's ``consume``, or the same with the self-heal aggregator
+  and the :class:`~repro.selfheal.engine.RemediationEngine` polled
+  every ``POLL_EVERY`` events, versus ``NullSink().emit`` alone.  The
+  attached series is the monitor-only wall time plus that tax.
 
 The last two are gated at ``OVERHEAD_FRACTION`` of their baseline
 plus a ``JITTER_FLOOR_S`` absolute floor.  At the ~0.13-0.15 s
@@ -57,8 +56,8 @@ ROUNDS = 5
 OVERHEAD_FRACTION = 0.05
 JITTER_FLOOR_S = 0.01
 
-#: Self-heal engine poll cadence, in events — the live loop polls per
-#: tail batch, not per event; 64 models a busy tail read.
+#: Self-heal engine poll cadence, in events: one poll per batch of 64
+#: (:func:`repro.selfheal.replay` polls after every event).
 POLL_EVERY = 64
 
 
@@ -118,11 +117,12 @@ def drain_tax(events, attach):
 
 def attach_health():
     aggregator = health.new_aggregator()
-    emit = health.HealthSink(NullSink(), aggregator).emit
+    emit = NullSink().emit
 
     def drain(events):
         for event in events:
             emit(event)
+            aggregator.consume(event)
         aggregator.finish()
 
     return drain, aggregator

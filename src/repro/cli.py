@@ -263,8 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "instead of text")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="also write the JSON HealthReport to PATH")
-    p.add_argument("--prom", default=None, metavar="PATH",
-                   help="write Prometheus text exposition to PATH")
     p.add_argument("--expect", default=None, metavar="RULES",
                    help="comma-separated alert rules the trace must have "
                         "fired, exactly ('' = none); exit 1 on mismatch")
@@ -272,8 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heal",
                        help="closed-loop remediation: replay a telemetry "
-                            "trace through the self-healing plane, tail "
-                            "it live, or run the regret/soak harnesses")
+                            "trace through the self-healing plane, or run "
+                            "the regret/soak harnesses")
     p.add_argument("trace", nargs="?", default=None, metavar="TRACE",
                    help="telemetry JSONL file to replay (omit with "
                         "--regret/--soak)")
@@ -286,13 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated action kinds the loop must have "
                         "completed, exactly ('' = none); exit 1 on "
                         "mismatch")
-    p.add_argument("--follow", action="store_true",
-                   help="live mode: tail TRACE for new events until "
-                        "Ctrl-C (or --max-polls consecutive empty reads)")
-    p.add_argument("--poll", type=float, default=0.25, metavar="S",
-                   help="--follow: seconds between tail reads")
-    p.add_argument("--max-polls", type=int, default=None, metavar="N",
-                   help="--follow: stop after N consecutive empty reads")
     p.add_argument("--regret", action="store_true",
                    help="run the seeded three-arm fault storm and print "
                         "the MTTR/regret report (exit 1 unless the "
@@ -464,9 +455,6 @@ def _health_handler(args) -> int:
 
     if args.out:
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
-    if args.prom:
-        Path(args.prom).write_text(
-            health.prometheus_text(aggregator, report), encoding="utf-8")
     print(report.to_json() if args.as_json else report.render_text(),
           end="")
 
@@ -531,28 +519,14 @@ def _heal_handler(args) -> int:
               file=sys.stderr)
         return 2
     trace = Path(args.trace)
-    if args.follow:
-        loop = selfheal.SelfHealLoop(
-            str(trace), poll_s=args.poll, max_polls=args.max_polls)
-        try:
-            with loop:
-                while not loop.finished.wait(0.2):
-                    pass
-        except KeyboardInterrupt:
-            print()
-        if loop.error is not None:
-            print(f"heal: loop died: {loop.error}", file=sys.stderr)
-            return 2
-        engine = loop.engine
-    else:
-        if not trace.is_file():
-            print(f"heal: no trace at {trace}", file=sys.stderr)
-            return 2
-        try:
-            _, engine = selfheal.replay_path(str(trace))
-        except ReproError as exc:
-            print(f"heal: {exc}", file=sys.stderr)
-            return 2
+    if not trace.is_file():
+        print(f"heal: no trace at {trace}", file=sys.stderr)
+        return 2
+    try:
+        _, engine = selfheal.replay_path(str(trace))
+    except ReproError as exc:
+        print(f"heal: {exc}", file=sys.stderr)
+        return 2
 
     ledger = engine.ledger
     if args.out:

@@ -1,10 +1,9 @@
-"""Streaming aggregation over the telemetry bus.
+"""Streaming aggregation over a recorded telemetry trace.
 
 :class:`HealthAggregator` is an incremental consumer of the wire
-events defined by :mod:`repro.obs.contract`.  It attaches to the live
-bus through :class:`HealthSink` (a tee installed by
-:func:`repro.health.attach`) or replays any recorded telemetry JSONL
-(:meth:`HealthAggregator.replay_lines`), and maintains **windowed
+events defined by :mod:`repro.obs.contract`.  It replays any recorded
+telemetry JSONL (:meth:`HealthAggregator.replay_lines`, one event per
+line as :func:`trace_events` reads it) and maintains **windowed
 rollups** per series:
 
 * per-directed-link utilization EWMA, peak, and freshness from
@@ -17,12 +16,13 @@ rollups** per series:
 * one-off event counts with a bounded timestamp window (retry storms);
 * the conversion downtime ledger from ``link_down`` / ``link_up``.
 
-Costs follow the :mod:`repro.obs` contract: O(1) state per series,
+Costs follow the :mod:`repro.obs` contract: O(1) state per series and
 no per-event allocation on the hot path (rollups are keyed dicts of
-``__slots__`` objects), and zero overhead when nothing is attached.
-Rules (:mod:`repro.health.rules`) and SLOs (:mod:`repro.health.slo`)
-are evaluated every ``eval_every`` consumed events — never per event —
-so judgment stays off the hot path too.
+``__slots__`` objects).  Producers never call into this module, so a
+run pays nothing for the health plane.  Rules
+(:mod:`repro.health.rules`) and SLOs (:mod:`repro.health.slo`) are
+evaluated every ``eval_every`` consumed events — never per event — so
+judgment stays off the hot path too.
 
 Determinism: the aggregator's clock is the **simulated** ``t`` carried
 by link/one-off events, never wall-clock ``ts``, so replaying the same
@@ -34,12 +34,11 @@ from __future__ import annotations
 import json
 import math
 import threading
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from repro.errors import ReproError
 from repro.obs import Ewma, WindowedQuantile, gini
-from repro.obs.sinks import Sink, TelemetryEvent
 
 if TYPE_CHECKING:  # circular at runtime: rules/slo probe the aggregator
     from repro.health.rules import RulesEngine
@@ -57,6 +56,27 @@ DEFAULT_ALPHA = 0.2
 #: A metric's self-baseline (for ``ratio:`` regression probes) freezes
 #: as the window p99 once this many samples have arrived.
 BASELINE_SAMPLES = 32
+
+
+def trace_events(lines: Iterable[str]) -> Iterator[Dict[str, object]]:
+    """The wire events of a recorded telemetry JSONL stream, in order.
+
+    Blank lines and JSON values that are not objects are skipped.  A
+    line that is not JSON raises :class:`ReproError` naming its 1-based
+    line number.
+    """
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            event = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ReproError(
+                f"bad telemetry line {lineno}: {exc.msg} "
+                f"(column {exc.colno})") from exc
+        if isinstance(event, dict):
+            yield event
 
 
 class LinkRollup:
@@ -175,8 +195,8 @@ class EventRollup:
 class HealthAggregator:
     """Incremental judgments over a telemetry stream.
 
-    Feed it wire events via :meth:`consume` (live, through
-    :class:`HealthSink`) or :meth:`replay_lines` (offline); read
+    Feed it wire events via :meth:`consume`, or a whole recorded
+    trace via :meth:`replay_lines`; read
     :meth:`hottest_links`, :meth:`link_gini`, :attr:`dark_seconds`,
     per-metric rollups, the alert log and SLO state — or render all of
     it as a :class:`repro.health.report.HealthReport`.
@@ -224,13 +244,11 @@ class HealthAggregator:
         #: Trace clock at the last evaluation (so same-``t`` event
         #: batches are judged once, not per eval_every boundary).
         self._last_eval_t = -math.inf
-        #: The health tee runs :meth:`consume` on whatever thread
-        #: emits (the self-heal loop, the main thread replaying a
-        #: file), so every rollup mutation and every rule/SLO
-        #: evaluation happens under this lock.  The ``health.*``
-        #: early-return in :meth:`consume` stays outside it: rule
-        #: firings re-enter through the tee, and the lock is
-        #: deliberately non-reentrant.
+        #: The class is public and a caller may feed one aggregator
+        #: from several threads, so every rollup mutation and every
+        #: rule/SLO evaluation happens under this lock.  It is
+        #: deliberately non-reentrant: nothing under it may call back
+        #: into :meth:`consume` or :meth:`evaluate`.
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -325,17 +343,9 @@ class HealthAggregator:
         return rollup
 
     def replay_lines(self, lines: Iterable[str]) -> "HealthAggregator":
-        """Replay a recorded telemetry JSONL stream (offline mode)."""
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ReproError(f"bad telemetry line: {exc}") from exc
-            if isinstance(event, dict):
-                self.consume(event)
+        """Replay a recorded telemetry JSONL stream, then :meth:`finish`."""
+        for event in trace_events(lines):
+            self.consume(event)
         self.finish()
         return self
 
@@ -358,7 +368,7 @@ class HealthAggregator:
             self.rules.evaluate(self)
 
     # ------------------------------------------------------------------
-    # probes (consumed by rules, the report, and the TUI)
+    # probes (consumed by rules and the report)
     # ------------------------------------------------------------------
     def fresh_links(self) -> List[LinkRollup]:
         """Links sampled within ``stale_after`` of the trace clock."""
@@ -434,36 +444,3 @@ class HealthAggregator:
             f"health({self.events} events, {len(self.links)} links, "
             f"{len(self.metrics)} metric rollups, t={self.t:g})"
         )
-
-
-class HealthSink(Sink):
-    """Bus tee: forward every event to a sink *and* an aggregator.
-
-    Install via :func:`repro.health.attach`, which wraps the current
-    sink — producers keep emitting exactly as before, the aggregator
-    sees every event, and the JSONL stream is unchanged.  Alert events
-    the aggregator emits while consuming re-enter :meth:`emit` once and
-    are ignored by :meth:`HealthAggregator.consume` (``health.*``
-    names), so the tee cannot loop.
-    """
-
-    def __init__(self, inner: Sink, aggregator: HealthAggregator) -> None:
-        self.inner = inner
-        self.aggregator = aggregator
-        # Bound-method caches: emit() runs per wire event, and the two
-        # attribute chases per call are measurable at bus volume.
-        self._forward = inner.emit
-        self._consume = aggregator.consume
-
-    def emit(self, event: TelemetryEvent) -> None:
-        self._forward(event)
-        self._consume(event)
-
-    def flush(self) -> None:
-        self.inner.flush()
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def describe(self) -> str:
-        return f"health-tee({self.inner.describe()})"

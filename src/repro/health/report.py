@@ -1,4 +1,4 @@
-"""HealthReport artifact: deterministic JSON/text/Prometheus renderings.
+"""HealthReport artifact: deterministic JSON and text renderings.
 
 A :class:`HealthReport` freezes one aggregator's judgment — rollups,
 alert states and trail, SLO budgets — into a plain dict.  Everything
@@ -6,16 +6,13 @@ in it derives from the trace's simulated clock (never wall time), and
 the JSON rendering sorts keys and scrubs NaN, so replaying the same
 telemetry JSONL twice yields **byte-identical** reports (CI diffs
 them; see ``make health-smoke``).
-
-:func:`prometheus_text` renders the same state in Prometheus text
-exposition format for scrape-style integration.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.obs import scrub_nonfinite
 
@@ -153,80 +150,3 @@ def _num(value: object) -> str:
             return "n/a"
         return f"{value:.4g}"
     return str(value)
-
-
-def _label(value: str) -> str:
-    """Escape a Prometheus label value."""
-    return value.replace("\\", r"\\").replace('"', r'\"') \
-                .replace("\n", r"\n")
-
-
-def _prom_value(value: float) -> str:
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    return f"{value:.10g}"
-
-
-def prometheus_text(aggregator: "HealthAggregator",
-                    report: Optional[HealthReport] = None) -> str:
-    """Prometheus text exposition of the aggregator's current state."""
-    report = report or HealthReport(aggregator)
-    out: List[str] = []
-
-    def family(name: str, kind: str, help_: str) -> None:
-        out.append(f"# HELP {name} {help_}")
-        out.append(f"# TYPE {name} {kind}")
-
-    family("flattree_health_events_total", "counter",
-           "Wire events consumed by the health aggregator.")
-    out.append(f"flattree_health_events_total "
-               f"{_prom_value(float(aggregator.events))}")
-
-    family("flattree_link_utilization_ewma", "gauge",
-           "EWMA utilization per hot directed link.")
-    for rollup in aggregator.hottest_links(report.top_k):
-        out.append(
-            f'flattree_link_utilization_ewma{{link="{_label(rollup.link)}"}} '
-            f"{_prom_value(rollup.ewma.value)}")
-
-    family("flattree_link_gini", "gauge",
-           "Gini imbalance over per-link EWMA utilization.")
-    out.append(f"flattree_link_gini "
-               f"{_prom_value(aggregator.link_gini())}")
-
-    family("flattree_dark_seconds_total", "counter",
-           "Cumulative conversion downtime (link-seconds).")
-    out.append(f"flattree_dark_seconds_total "
-               f"{_prom_value(aggregator.dark_seconds)}")
-
-    family("flattree_metric", "gauge",
-           "Windowed metric rollup statistics.")
-    for name in sorted(aggregator.metrics):
-        snap = aggregator.metrics[name].snapshot()
-        for stat in ("p50", "p90", "p99", "ewma", "last"):
-            value = snap[stat]
-            assert isinstance(value, float)
-            out.append(
-                f'flattree_metric{{name="{_label(name)}",'
-                f'stat="{stat}"}} {_prom_value(value)}')
-
-    family("flattree_alert_firing", "gauge",
-           "1 while the named alert rule is firing.")
-    for state in report.alert_states():
-        firing = 1.0 if state["status"] == "firing" else 0.0
-        out.append(
-            f'flattree_alert_firing{{rule="{_label(str(state["rule"]))}"}} '
-            f"{_prom_value(firing)}")
-
-    family("flattree_slo_budget_remaining", "gauge",
-           "Error budget left in the trailing SLO window.")
-    family_rows = []
-    for slo in report.slo_states():
-        family_rows.append(
-            f'flattree_slo_budget_remaining{{slo="{_label(str(slo["slo"]))}"}} '
-            f"{_prom_value(float(slo['budget_remaining']))}")  # type: ignore[arg-type]
-    out.extend(family_rows)
-
-    return "\n".join(out) + "\n"

@@ -31,9 +31,8 @@ Probes are addressed by name:
 ``event_rate:<name>``       windowed rate (events / trace second)
 ==========================  =============================================
 
-This module is the importable subscription surface the future online
-mode controller consumes (ROADMAP item 3): build a
-:class:`RulesEngine`, attach it to a live aggregator, and read
+This module is importable on purpose: build a :class:`RulesEngine`,
+hand it to an aggregator that replays a trace, and read
 :meth:`RulesEngine.active` instead of parsing CLI output.
 """
 

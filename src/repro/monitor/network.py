@@ -160,8 +160,6 @@ class NetworkMonitor:
         self.events_seen = 0
         self.samples_taken = 0
         self._last_sample_t = -math.inf
-        self.last_rate_total = 0.0
-        self.last_sample_time: Optional[float] = None
         # Downtime ledger: undirected link -> list of [down_t, up_t|None].
         self._dark: Dict[frozenset, List[List[Optional[float]]]] = {}
         self._dark_keys: Dict[frozenset, LinkKey] = {}
@@ -205,7 +203,6 @@ class NetworkMonitor:
         self.samples_taken += 1
         link_flows = link_flows or {}
         export = obs.enabled()
-        total = 0.0
         switch_load: Dict[SwitchId, float] = {}
         for key, rate in link_rates.items():
             capacity = self._capacity.get(key)
@@ -223,7 +220,6 @@ class NetworkMonitor:
             utilization = rate / capacity
             flows = link_flows.get(key, 0)
             series.record(LinkSample(t, rate, utilization, flows))
-            total += rate
             for switch in key:
                 switch_load[switch] = switch_load.get(switch, 0.0) + rate
             if export:
@@ -243,8 +239,6 @@ class NetworkMonitor:
             )
             if load > self._switch_peak.get(switch, 0.0):
                 self._switch_peak[switch] = load
-        self.last_rate_total = total
-        self.last_sample_time = t
         obs.incr("monitor.samples")
         obs.incr("monitor.link_samples", len(link_rates))
 

@@ -66,7 +66,6 @@ from repro.obs.trace import (
     enabled,
     event,
     incr,
-    install_sink,
     observe,
     publish,
     registry,
@@ -101,7 +100,6 @@ __all__ = [
     "event",
     "gini",
     "incr",
-    "install_sink",
     "nearest_rank_quantile",
     "observe",
     "publish",

@@ -47,9 +47,8 @@ class NullSink(Sink):
 class MemorySink(Sink):
     """Buffers events in a list — the test and notebook sink.
 
-    ``emit`` runs on whatever thread hits the bus (the self-heal loop,
-    the main thread), so the buffer is lock-guarded against a
-    concurrent ``clear``.
+    ``emit`` runs on whatever thread hits the bus, so the buffer is
+    lock-guarded against a concurrent ``clear``.
     """
 
     def __init__(self) -> None:

@@ -119,19 +119,6 @@ def current_sink() -> Sink:
     return _state.sink
 
 
-def install_sink(sink: Sink) -> Sink:
-    """Swap the active sink, returning the one it replaces.
-
-    The supported way to interpose on the bus (e.g. the health plane's
-    :class:`~repro.health.aggregate.HealthSink` tee wraps the previous
-    sink and restores it on detach).  The swap does not flush or close
-    either sink — the caller owns both lifecycles.
-    """
-    previous = _state.sink
-    _state.sink = sink
-    return previous
-
-
 def _emit_metric(name: str, kind: str, value: float) -> None:
     _state.sink.emit({
         "ts": time.time(),
@@ -145,13 +132,11 @@ def publish(kind: str, name: str, **fields: object) -> None:
     """Emit one raw wire event through the telemetry bus.
 
     The sanctioned emission path for library code that produces
-    non-metric event kinds (the monitor's ``link_sample`` family, the
-    health plane's rollup exports): everything still funnels through
-    the current sink, so a bus tee (:class:`repro.health.HealthSink`)
-    observes every event regardless of who produced it.  No-op when
+    non-metric event kinds (the monitor's ``link_sample`` family):
+    everything funnels through the current sink, so the recorded trace
+    holds every event regardless of who produced it.  No-op when
     telemetry is disabled; flatlint FT005 forbids bypassing this by
-    calling ``current_sink().emit`` directly outside ``repro.obs`` /
-    ``repro.health``.
+    calling ``current_sink().emit`` directly outside ``repro.obs``.
     """
     if not _state.enabled:
         return

@@ -12,7 +12,7 @@ every decision lands in a trace-clock-deterministic
 :class:`~repro.selfheal.ledger.RemediationLedger` plus registered
 ``selfheal.*`` telemetry events with cause-alert linkage.
 
-Surfaces: ``flattree heal`` (offline replay, ``--follow`` live tail,
+Surfaces: ``flattree heal`` (replay of a recorded telemetry trace,
 ``--regret`` three-arm storm report, ``--soak`` flowsim soak),
 :func:`repro.selfheal.regret.run_regret`, and
 :func:`repro.experiments.selfheal_soak.run_selfheal_soak`.  See
@@ -35,7 +35,6 @@ from repro.selfheal.ledger import (
     RemediationLedger,
     STATUSES,
 )
-from repro.selfheal.loop import SelfHealLoop
 from repro.selfheal.policy import (
     ACTIONS,
     ActionRule,
@@ -61,7 +60,6 @@ __all__ = [
     "RemediationLedger",
     "RemediationPolicy",
     "STATUSES",
-    "SelfHealLoop",
     "TokenBucket",
     "default_policy",
     "new_selfheal_aggregator",

@@ -29,14 +29,13 @@ replayed chaos run takes byte-identical decisions (see
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import ReproError
-from repro.health.aggregate import HealthAggregator
+from repro.health.aggregate import HealthAggregator, trace_events
 from repro.health.rules import RulesEngine, default_rules
 from repro.selfheal.guard import CooldownGate, FlapDetector, TokenBucket
 from repro.selfheal.ledger import (
@@ -218,12 +217,12 @@ class RemediationEngine:
         self._retry_at: Dict[str, float] = {}
         self._hold_until = float("-inf")
         self._hold_strikes = 0
-        #: :meth:`poll` runs both on the self-heal loop thread and on
-        #: the main thread (replay, tests poking a shared engine), and
-        #: everything below it — guards, ledger, executor, controller —
-        #: mutates engine-owned state.  One lock at this boundary
-        #: covers the whole cone; lock order is engine -> aggregator
-        #: (the aggregator never calls back into the engine).
+        #: The class is public and a caller may poll one engine from
+        #: several threads, and everything below :meth:`poll` —
+        #: guards, ledger, executor, controller — mutates engine-owned
+        #: state.  One lock at this boundary covers the whole cone;
+        #: lock order is engine -> aggregator (the aggregator never
+        #: calls back into the engine).
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -235,8 +234,8 @@ class RemediationEngine:
     def poll(self, aggregator: HealthAggregator) -> List[LedgerEntry]:
         """Fold new alert-log entries and act on pending incidents.
 
-        Call this after feeding events to the aggregator (the loop
-        thread does it per tail batch; replay does it per line).
+        Call this after feeding events to the aggregator (replay does
+        it after every event).
         Returns the ledger entries appended by this poll.
         """
         with self._lock:
@@ -378,25 +377,16 @@ def replay(lines: Iterable[str],
            ) -> Tuple[HealthAggregator, RemediationEngine]:
     """Replay a telemetry JSONL trace through the closed loop.
 
-    Feeds each line to the aggregator and polls the engine after
-    every event, exactly like the live loop does per tail batch —
-    same trace, same decisions, byte-identical ledger.  Blank lines
-    are skipped; unparseable lines raise :class:`ReproError`.
+    Feeds each event to the aggregator and polls the engine after
+    every one — same trace, same decisions, byte-identical ledger.
+    Lines are read by :func:`~repro.health.aggregate.trace_events`,
+    which raises :class:`ReproError` naming any line that is not JSON.
     """
     agg = aggregator or new_selfheal_aggregator()
     engine = RemediationEngine(policy=policy, executor=executor)
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ReproError(
-                f"trace line {lineno} is not valid JSON: {exc}") from exc
-        if isinstance(event, dict):
-            agg.consume(event)
-            engine.poll(agg)
+    for event in trace_events(lines):
+        agg.consume(event)
+        engine.poll(agg)
     agg.finish()
     engine.poll(agg)
     return agg, engine

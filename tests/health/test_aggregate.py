@@ -1,4 +1,4 @@
-"""Unit tests for the streaming health aggregator and the bus tee."""
+"""Unit tests for the streaming health aggregator."""
 
 from __future__ import annotations
 
@@ -7,10 +7,9 @@ import math
 
 import pytest
 
-from repro import health, obs
+from repro import health, selfheal
 from repro.errors import ReproError
-from repro.health.aggregate import HealthAggregator, HealthSink
-from repro.obs.sinks import MemorySink
+from repro.health.aggregate import HealthAggregator
 
 from tests.health.conftest import link_sample
 
@@ -121,6 +120,15 @@ class TestReplayValidation:
         with pytest.raises(ReproError, match="bad telemetry line"):
             HealthAggregator().replay_lines(["{nope"])
 
+    def test_bad_json_names_its_physical_line(self):
+        lines = ["{}", "", "{nope"]
+        with pytest.raises(ReproError) as health_error:
+            HealthAggregator().replay_lines(lines)
+        assert str(health_error.value).startswith("bad telemetry line 3: ")
+        with pytest.raises(ReproError) as selfheal_error:
+            selfheal.replay(lines)
+        assert str(selfheal_error.value) == str(health_error.value)
+
     def test_blank_lines_and_non_objects_skipped(self):
         agg = HealthAggregator()
         agg.replay_lines(["", "   ", "[1, 2]"])
@@ -133,55 +141,3 @@ class TestReplayValidation:
             HealthAggregator(eval_every=0)
         with pytest.raises(ReproError):
             HealthAggregator(stale_after=0.0)
-
-
-class TestHealthSinkTee:
-    def test_tee_forwards_and_aggregates(self, clean_obs):
-        inner = MemorySink()
-        agg = HealthAggregator()
-        obs.enable(HealthSink(inner, agg), emit_metric_events=True)
-        obs.set_gauge("g", 2.0)
-        obs.disable()
-        assert [e["name"] for e in inner.events] == ["g"]
-        assert agg.metric_stat("g", "last") == 2.0
-
-    def test_attach_detach_lifecycle(self, memory_sink):
-        agg = health.attach()
-        obs.observe("fct", 0.5)
-        assert health.detach() is agg
-        # the original sink saw the event, and was restored afterwards
-        assert [e["name"] for e in memory_sink.events] == ["fct"]
-        assert obs.current_sink() is memory_sink
-        assert agg.metric_stat("fct", "last") == 0.5
-
-    def test_attach_requires_enabled_telemetry(self, clean_obs):
-        with pytest.raises(ReproError, match="disabled"):
-            health.attach()
-
-    def test_double_attach_refused(self, memory_sink):
-        health.attach()
-        try:
-            with pytest.raises(ReproError, match="already attached"):
-                health.attach()
-        finally:
-            health.detach()
-
-    def test_detach_without_attach_refused(self, memory_sink):
-        with pytest.raises(ReproError, match="not attached"):
-            health.detach()
-
-    def test_no_feedback_loop_when_rules_fire_live(self, memory_sink):
-        # A firing alert emits health.* events through the tee itself;
-        # consume() must ignore them rather than recurse or re-count.
-        agg = health.HealthAggregator(
-            rules=health.RulesEngine((health.AlertRule(
-                name="hot", probe="rollup:g:last", threshold=0.5),)),
-            eval_every=1,
-        )
-        health.attach(agg)
-        obs.set_gauge("g", 0.9)
-        health.detach()
-        fired = [e for e in memory_sink.events
-                 if e["name"] == "health.alert_firing"]
-        assert len(fired) == 1
-        assert agg.events == 1

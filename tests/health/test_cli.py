@@ -56,15 +56,13 @@ class TestHealthCommand:
         code, _ = run_cli(capsys, "health", str(bad))
         assert code == 2
 
-    def test_out_and_prom_artifacts(self, capsys, trace_path, tmp_path):
+    def test_out_artifact(self, capsys, trace_path, tmp_path):
         report = tmp_path / "HEALTH_REPORT.json"
-        prom = tmp_path / "health.prom"
         code, _ = run_cli(capsys, "health", str(trace_path),
-                          "--out", str(report), "--prom", str(prom))
+                          "--out", str(report))
         assert code == 0
         body = json.loads(report.read_text(encoding="utf-8"))
         assert body["schema"] == "flattree.health/1"
-        assert "flattree_link_gini" in prom.read_text(encoding="utf-8")
 
 
 class TestRecordedRunRoundTrip:

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro import health
-from repro.health.report import HealthReport, prometheus_text
+from repro.health.report import HealthReport
 
 
 def judged(lines):
@@ -71,18 +71,3 @@ class TestRenderings:
         assert "slos:" in text
         assert "conversion_downtime" in text
         assert "hottest links" in text
-
-    def test_prometheus_exposition(self, hotspot_lines):
-        agg = judged(hotspot_lines)
-        prom = prometheus_text(agg)
-        assert "# TYPE flattree_link_utilization_ewma gauge" in prom
-        assert 'flattree_link_utilization_ewma{link="s2->s3"}' in prom
-        assert "flattree_health_events_total 400" in prom
-        assert 'flattree_alert_firing{rule="link_hotspot"} 0' in prom
-        assert 'flattree_slo_budget_remaining{slo="flow_loss"}' in prom
-        # exposition format: every sample line is `name{labels} value`
-        for line in prom.splitlines():
-            if line.startswith("#") or not line:
-                continue
-            assert len(line.rsplit(" ", 1)) == 2
-            float(line.rsplit(" ", 1)[1])

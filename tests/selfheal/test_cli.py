@@ -71,14 +71,6 @@ class TestHealReplay:
         assert code == 2
 
 
-class TestHealFollow:
-    def test_follow_bounded_by_max_polls(self, capsys, trace_path):
-        code, out = run_cli(capsys, "heal", str(trace_path), "--follow",
-                            "--poll", "0.01", "--max-polls", "3")
-        assert code == 0
-        assert "remediation ledger" in out
-
-
 class TestHealRegret:
     def test_regret_gate_passes(self, capsys):
         code, out = run_cli(capsys, "heal", "--regret", "--k", "4",

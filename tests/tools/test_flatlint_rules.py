@@ -425,9 +425,13 @@ class TestFT005BusEmission:
         assert codes(findings) == ["FT005"]
         assert "install_sink" in findings[0].message
 
-    def test_obs_and_health_packages_exempt(self, tmp_path):
-        for relpath in ("src/repro/obs/tee.py", "src/repro/health/tee.py"):
-            assert lint_snippet(tmp_path, relpath, self.BAD) == []
+    def test_obs_package_exempt(self, tmp_path):
+        assert lint_snippet(tmp_path, "src/repro/obs/tee.py", self.BAD) == []
+
+    def test_health_package_not_exempt(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path, "src/repro/health/tee.py", self.BAD)
+        assert codes(findings) == ["FT005"]
 
     def test_tests_and_tools_exempt(self, tmp_path):
         assert lint_snippet(tmp_path, "tests/poke.py", self.BAD) == []

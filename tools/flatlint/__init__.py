@@ -14,7 +14,7 @@ invariants rather than generic style:
   DAG; ``repro.obs`` internals stay private.
 * **FT005 bus-emission** — telemetry leaves through ``obs.publish`` /
   ``obs.event``; direct ``Sink.emit`` calls and ``obs.install_sink``
-  stay inside ``repro.obs`` and ``repro.health``.
+  stay inside ``repro.obs``.
 * **FT006 concurrency-safety** — interprocedural: state mutated both
   on a thread (reachable from a ``threading.Thread`` entry point over
   the project call graph) and on the main path, with no lock held on

@@ -1,22 +1,21 @@
 """FT005 — the bus is the only emission path.
 
-The health plane (:mod:`repro.health`) observes the fabric by teeing
-the *current sink* — which only works if every producer funnels its
-events through the bus helpers (``obs.event`` / ``obs.publish`` /
-the metric helpers).  A library module that grabs
-``obs.current_sink()`` and calls ``.emit(...)`` on it writes *around*
-any installed tee: the event reaches the JSONL file but silently
-skips health aggregation, and nothing fails.
+Every wire event leaves through the bus helpers (``obs.event`` /
+``obs.publish`` / the metric helpers): the one place that builds the
+wire envelope (``ts``, ``name``, ``kind``) the contract checks, and
+the one place a change to the bus has to reach.  A library module
+that grabs ``obs.current_sink()`` and calls ``.emit(...)`` on it
+writes *around* them, and nothing fails.
 
-This rule forbids direct sink writes in ``repro.*`` outside the two
-packages that own the plumbing (``repro.obs`` itself and
-``repro.health``, whose tee forwards to the inner sink by design):
+This rule forbids direct sink writes in ``repro.*`` outside the one
+package that owns the plumbing (``repro.obs`` itself):
 
 * chained ``obs.current_sink().emit(...)`` calls;
 * ``.emit(...)`` on any variable assigned from ``current_sink()``
   anywhere in the same file;
-* ``obs.install_sink(...)`` — interposing on the bus is health-plane
-  machinery, not a general library facility.
+* ``obs.install_sink(...)`` — ``repro.obs`` has no such function any
+  more; the clause stays so that a reintroduced sink swap (a bus tee
+  that runs on every emitting thread) is caught.
 
 Tests and tools are exempt (they exercise sinks directly on purpose).
 The sanctioned alternative for raw wire events is
@@ -48,9 +47,8 @@ _INSTALL_SINK_CALLS = {
     "trace.install_sink",
 }
 
-#: Packages allowed to touch the sink directly: the bus implementation
-#: and the health tee it exists to support.
-_EXEMPT_PACKAGES = ("repro.obs", "repro.health")
+#: Packages allowed to touch the sink directly: the bus implementation.
+_EXEMPT_PACKAGES = ("repro.obs",)
 
 
 def _exempt(module: str) -> bool:
@@ -72,8 +70,8 @@ class BusEmissionRule(Rule):
     code = "FT005"
     name = "bus-emission"
     summary = ("direct sink writes (current_sink().emit / install_sink) "
-               "are reserved to repro.obs and repro.health — emit "
-               "through obs.publish/obs.event instead")
+               "are reserved to repro.obs — emit through "
+               "obs.publish/obs.event instead")
 
     def check_file(self, f: SourceFile) -> Iterator[Finding]:
         if _exempt(f.module):
@@ -104,15 +102,15 @@ class BusEmissionRule(Rule):
                 if direct or via_name:
                     yield f.finding(
                         node, self.code,
-                        "direct sink .emit() bypasses any installed bus "
-                        "tee (the health plane would never see this "
-                        "event) — emit through obs.publish(kind, name, "
-                        "**fields) or obs.event instead",
+                        "direct sink .emit() bypasses the bus helpers "
+                        "that build the wire envelope — emit through "
+                        "obs.publish(kind, name, **fields) or obs.event "
+                        "instead",
                     )
             elif imports.resolve_call(func) in _INSTALL_SINK_CALLS:
                 yield f.finding(
                     node, self.code,
                     "obs.install_sink() interposes on the telemetry bus "
-                    "— that is repro.health machinery; library code "
-                    "must not swap sinks",
+                    "— library code must not swap sinks; choose one "
+                    "with obs.enable(sink)",
                 )

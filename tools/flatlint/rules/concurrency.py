@@ -1,21 +1,23 @@
 """FT006 — concurrency safety across the thread boundary.
 
-The repo runs two daemon threads (the health tee on the telemetry bus,
-the self-heal loop) against state that main-thread code also touches:
-the aggregator consumed live *and* replayed offline, the remediation
-engine polled from both sides.  A per-file linter cannot see that
-boundary; this rule walks the whole-program call graph instead.
+``src/`` starts no thread and swaps no sink today; this rule guards
+any future one.  A thread (or a sink swapped onto the bus, whose
+``emit`` runs on every emitting thread) would share state that
+main-thread code also touches — the public aggregator and
+remediation engine keep locks for exactly that case.  A per-file
+linter cannot see that boundary; this rule walks the whole-program
+call graph instead.
 
 The analysis:
 
 1. **Thread entry points** — ``threading.Thread(target=...)``
    arguments, ``run()`` of ``threading.Thread`` subclasses, and the
-   ``emit`` method of anything handed to ``obs.install_sink`` (the bus
-   tee runs on whatever thread emits).
+   ``emit`` method of anything handed to ``obs.install_sink`` (a bus
+   tee would run on whatever thread emits; ``repro.obs`` no longer
+   has the function, so this entry fires only if one comes back).
 2. **Reachability** — functions reachable from an entry form the
    *thread side*; functions reachable from any other ``repro.*``
-   function form the *main side*.  A dual-use function (the
-   aggregator's ``consume``) sits on both.
+   function form the *main side*.  A dual-use function sits on both.
 3. **Mutations** — writes to instance attributes (through ``self`` or
    any typed receiver), mutating container-method calls
    (``.append``/``.pop``/``.setdefault``/...), and module-global

@@ -676,7 +676,7 @@ def _schedule_handler(args) -> int:
         max_batch=args.max_batch,
     )
     print(f"== conversion schedule, k={args.k} -> {args.mode} ==")
-    print(f"plan: {controller.history[-1].summary()}")
+    print(f"plan: {controller.last_plan.summary()}")
     print(f"schedule: {report.schedule.summary()}")
     return 0
 

@@ -79,7 +79,7 @@ class Controller:
         self.flattree.set_configs(mode_configs(flattree, Mode.CLOS))
         self._network: Optional[Network] = None
         self._route_cache: Dict[Tuple[SwitchId, SwitchId], List[Path]] = {}
-        self.history: List[ReconfigurationPlan] = []
+        self.last_plan: Optional[ReconfigurationPlan] = None
         # Degradation state set by the resilient execution path: active
         # plant failures and whether the last conversion was rolled back
         # mid-way (layout no longer describes the whole plant).
@@ -129,7 +129,7 @@ class Controller:
         self.flattree.set_configs(target)
         self._network = after
         self._route_cache.clear()
-        self.history.append(plan)
+        self.last_plan = plan
         return plan
 
     def _plan(
@@ -230,7 +230,7 @@ class Controller:
             )
             self._network = report.network
             self._route_cache.clear()
-            self.history.append(plan)
+            self.last_plan = plan
             if monitor is not None:
                 monitor.rebind(report.network)
             return report
@@ -328,17 +328,20 @@ def _link_diff(
         }
 
     b, a = multiset(before), multiset(after)
+    deltas: Dict[frozenset, int] = {}
+    for key in a.keys() | b.keys():
+        delta = a.get(key, 0) - b.get(key, 0)
+        if delta:
+            deltas[key] = delta
     removed: List[Tuple[SwitchId, SwitchId]] = []
     added: List[Tuple[SwitchId, SwitchId]] = []
     # Sorted, and each cable oriented by the same order, so the cable
     # diff (and any batch schedule or link label built from it) is
     # independent of PYTHONHASHSEED; repr keys because the switch
-    # NamedTuple variants are not mutually orderable.
-    for key in sorted(set(b) | set(a),
-                      key=lambda pair: sorted(repr(s) for s in pair)):
-        delta = a.get(key, 0) - b.get(key, 0)
-        if not delta:
-            continue
+    # NamedTuple variants are not mutually orderable.  Only changed
+    # cables are sorted: most of a conversion's cables stay put.
+    for key in sorted(deltas, key=lambda pair: sorted(repr(s) for s in pair)):
+        delta = deltas[key]
         pair = tuple(sorted(key, key=repr))
         if delta < 0:
             removed.extend([pair] * -delta)

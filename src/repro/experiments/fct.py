@@ -144,7 +144,7 @@ def run_fct_monitored(
         Mode.GLOBAL_RANDOM, technology=technology, monitor=monitor,
         start=t_convert,
     )
-    plan = controller.history[-1]
+    plan = controller.last_plan
 
     dark = monitor.dark_traffic(
         (c.path, c.start, c.finish)

@@ -103,6 +103,7 @@ class Network:
         self._server_loc: Dict[ServerId, SwitchId] = {}
         self._servers_on: Dict[SwitchId, List[ServerId]] = {}
         self._link_index: Optional[LinkIndex] = None
+        self._adjacency_index: Optional[AdjacencyIndex] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -116,6 +117,7 @@ class Network:
         self._ports[node] = ports
         self._ports_used[node] = 0
         self._servers_on[node] = []
+        self._adjacency_index = None
         self._fabric.add_node(node)
 
     def add_server(self, server: ServerId, switch: SwitchId) -> None:
@@ -137,6 +139,7 @@ class Network:
         self._consume_port(u)
         self._consume_port(v)
         self._link_index = None
+        self._adjacency_index = None
         if self._fabric.has_edge(u, v):
             data = self._fabric[u][v]
             data["capacity"] += capacity
@@ -149,6 +152,7 @@ class Network:
         if not self._fabric.has_edge(u, v):
             raise TopologyError(f"no cable between {u!r} and {v!r}")
         self._link_index = None
+        self._adjacency_index = None
         data = self._fabric[u][v]
         data["mult"] -= 1
         data["capacity"] -= capacity
@@ -294,6 +298,16 @@ class Network:
             self._link_index = LinkIndex(self)
         return self._link_index
 
+    def adjacency_index(self) -> "AdjacencyIndex":
+        """The integer adjacency of the current fabric.
+
+        Built on first use and kept until a switch is added or a cable
+        is added or removed.
+        """
+        if self._adjacency_index is None:
+            self._adjacency_index = AdjacencyIndex(self)
+        return self._adjacency_index
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<Network {self.name!r}: {self.num_switches} switches, "
@@ -346,6 +360,26 @@ class LinkIndex:
                 ) from None
             self._paths[nodes] = links
         return links
+
+
+class AdjacencyIndex:
+    """Dense integer ids for the switches of one fabric, with neighbors.
+
+    ``ids`` is :meth:`Network.switch_index` and ``nodes[i]`` is switch
+    ``i``.  ``neighbors[i]`` holds the ids of switch ``i``'s fabric
+    neighbors in the fabric's own adjacency order, which is the order
+    networkx's graph searches visit them in, so a search over these
+    lists breaks ties as the same search over the graph does.
+    """
+
+    def __init__(self, net: Network) -> None:
+        ids = net.switch_index()
+        fabric = net.fabric
+        self.ids = ids
+        self.nodes: List[SwitchId] = list(ids)
+        self.neighbors: List[Tuple[int, ...]] = [
+            tuple(ids[w] for w in fabric[s]) for s in self.nodes
+        ]
 
 
 def total_ports(net: Network) -> int:

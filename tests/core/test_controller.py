@@ -64,8 +64,8 @@ class TestConversionPlans:
 
     def test_history_recorded(self, controller):
         controller.apply_mode(Mode.GLOBAL_RANDOM)
-        controller.apply_mode(Mode.CLOS)
-        assert len(controller.history) == 2
+        plan = controller.apply_mode(Mode.CLOS)
+        assert controller.last_plan is plan
 
     def test_network_cache_invalidation(self, controller):
         first = controller.network

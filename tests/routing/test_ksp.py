@@ -53,6 +53,10 @@ class TestKShortestPaths:
         with pytest.raises(RoutingError):
             k_shortest_paths(path3, PlainSwitch(0), PlainSwitch(77))
 
+    def test_same_unknown_switch_raises(self, path3):
+        with pytest.raises(RoutingError, match="no path"):
+            k_shortest_paths(path3, PlainSwitch(77), PlainSwitch(77))
+
 
 class TestKspTable:
     def test_builds_and_validates(self, triangle):

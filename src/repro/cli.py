@@ -82,17 +82,17 @@ def _run_with_telemetry(args) -> int:
     return code
 
 
-def _int_at_least(minimum: int):
-    """argparse ``type=`` for an int flag that must be >= ``minimum``."""
+def _at_least(minimum, kind=int):
+    """argparse ``type=`` for a ``kind`` flag that must be >= ``minimum``."""
 
-    def parse(text: str) -> int:
-        value = int(text)
+    def parse(text: str):
+        value = kind(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(
                 f"must be >= {minimum}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in its messages
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
     return parse
 
 
@@ -167,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=Mode.GLOBAL_RANDOM.value)
     p.add_argument("--technology", choices=("mems", "mzi", "packet"),
                    default="mems")
-    p.add_argument("--max-batch", type=int, default=64)
+    p.add_argument("--max-batch", type=_at_least(1), default=64)
     p.set_defaults(handler=_schedule_handler)
 
     p = sub.add_parser("export", help="dump a topology (dot/json/edges)")
@@ -185,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--fractions", type=float, nargs="+",
                    default=[0.0, 0.05, 0.1, 0.2])
-    p.add_argument("--draws", type=int, default=3)
+    p.add_argument("--draws", type=_at_least(1), default=3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_degradation_handler)
 
@@ -217,15 +217,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=Mode.CLOS.value)
     p.add_argument("--pattern", choices=("alltoall", "hotspot"),
                    default="alltoall")
-    p.add_argument("--flows", type=_int_at_least(0), default=0,
+    p.add_argument("--flows", type=_at_least(0), default=0,
                    help="cap on flow count (0 = the full pattern)")
-    p.add_argument("--interval", type=float, default=0.0,
+    p.add_argument("--interval", type=_at_least(0.0, float), default=0.0,
                    help="sampling interval in simulated seconds "
                         "(0 = every allocation event)")
-    p.add_argument("--retention", type=int, default=None,
+    p.add_argument("--retention", type=_at_least(1), default=None,
                    help="ring-buffer samples kept per link")
-    p.add_argument("--bins", type=_int_at_least(1), default=12)
-    p.add_argument("--top", type=_int_at_least(1), default=10)
+    p.add_argument("--bins", type=_at_least(1), default=12)
+    p.add_argument("--top", type=_at_least(1), default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_monitor_handler)
 
@@ -238,16 +238,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--technologies", nargs="+",
                    choices=("mems", "mzi", "packet"),
                    default=["mems", "mzi", "packet"])
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--trials", type=_at_least(1), default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-batch", type=int, default=16)
+    p.add_argument("--max-batch", type=_at_least(1), default=16)
     p.set_defaults(handler=_chaos_handler)
 
     p = sub.add_parser("downscale",
                        help="sleep core switches under a throughput floor")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--floor", type=float, default=0.5)
-    p.add_argument("--flows", type=int, default=8,
+    p.add_argument("--flows", type=_at_least(1), default=8,
                    help="random idle flows to protect")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_downscale_handler)
@@ -765,14 +765,19 @@ def _technology_by_name(name: str):
 
 
 def _fct_monitor_handler(args) -> int:
+    from repro.errors import ReproError
     from repro.experiments.fct import run_fct_monitored
     from repro.monitor import heatmap_table, hotspot_report
 
     k = args.ks[0]
-    run = run_fct_monitored(
-        k=k, flows=args.flows, seed=args.seed,
-        technology=_technology_by_name(args.technology),
-    )
+    try:
+        run = run_fct_monitored(
+            k=k, flows=args.flows, seed=args.seed,
+            technology=_technology_by_name(args.technology),
+        )
+    except ReproError as exc:
+        print(f"fct: {exc}", file=sys.stderr)
+        return 2
     print(f"== monitored FCT across a live conversion, k={k} ==")
     print(f"plan: {run.plan_summary}")
     print(f"schedule: {run.schedule.summary()}")

@@ -20,13 +20,14 @@ and provides:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro import obs
 from repro.errors import ReproError, RoutingError
 from repro.core.conversion import Mode, hybrid_configs, mode_configs
-from repro.core.converter import ConverterConfig, ConverterId
+from repro.core.converter import ConverterConfig, ConverterId, RealizedLink
 from repro.core.flattree import FlatTree
 from repro.core.zones import ZoneLayout, uniform_layout
 from repro.routing.base import Path, RoutingTable, select_path
@@ -36,13 +37,27 @@ from repro.routing.twolevel import two_level_route
 from repro.topology.elements import Network, SwitchId
 
 
+class PlanUnit(NamedTuple):
+    """One indivisible step of a conversion.
+
+    ``converters`` is a re-programmed converter, or both ends of a
+    re-programmed side pair, which no batch of a schedule may split.
+    ``dark_links`` are the cables the unit darkens: those its circuits
+    realize under the current configuration but not under the target.
+    """
+
+    converters: Tuple[ConverterId, ...]
+    dark_links: Tuple[Tuple[SwitchId, SwitchId], ...]
+
+
 @dataclass
 class ReconfigurationPlan:
     """Everything one conversion entails, for audit and staging.
 
-    ``pairs`` are the side pairs whose two ends are both re-programmed;
-    no batch of a schedule may split one.  ``stages`` is the execution
-    order: converters are drained (their circuits go dark),
+    ``units`` are the scheduling units in sorted converter order, each
+    with the cables it darkens; ``links_removed``, ``links_added`` and
+    ``servers_moved`` sum the units' changes.  ``stages`` is the
+    execution order: converters are drained (their circuits go dark),
     re-programmed, then restored — flows must be steered off the
     affected links before stage 1 commits.
     """
@@ -51,7 +66,7 @@ class ReconfigurationPlan:
     links_removed: List[Tuple[SwitchId, SwitchId]]
     links_added: List[Tuple[SwitchId, SwitchId]]
     servers_moved: Dict[int, Tuple[SwitchId, SwitchId]]
-    pairs: List[Tuple[ConverterId, ConverterId]]
+    units: List[PlanUnit]
     stages: List[str] = field(default_factory=list)
 
     @property
@@ -124,32 +139,55 @@ class Controller:
     def _commit(
         self, target: Mapping[ConverterId, ConverterConfig]
     ) -> ReconfigurationPlan:
-        """Plan ``target``, commit it, and serve the planned network."""
-        plan, after = self._plan(target)
+        """Plan ``target`` and commit it; the network is rebuilt on use."""
+        plan = self._plan(target)
         self.flattree.set_configs(target)
-        self._network = after
+        self._network = None
         self._route_cache.clear()
         self.last_plan = plan
         return plan
 
     def _plan(
         self, target: Mapping[ConverterId, ConverterConfig]
-    ) -> Tuple[ReconfigurationPlan, Network]:
-        """The plan to reach ``target`` and the network it yields.
+    ) -> ReconfigurationPlan:
+        """The plan to reach ``target``, read from the circuit table.
 
-        Both networks of the diff are materialized under the active
-        plant failures, so the plan compares like with like.
+        No network is built.  Each scheduling unit's circuits are walked
+        under the current and the target configurations, under the
+        active plant failures: a cable only the current ones realize
+        goes dark, one only the target realizes comes up, and a server
+        attached under both to different switches moves.  A server the
+        target strands is not moved; the served network omits it.
         """
-        before = self.network
-        changes = self.flattree.diff_configs(target)
-        after = self.flattree.materialize(target, failures=self._failures)
-
-        removed, added = _link_diff(before, after)
-        moved = {
-            server: (before.server_switch(server), after.server_switch(server))
-            for server in before.servers()
-            if before.server_switch(server) != after.server_switch(server)
-        }
+        ft = self.flattree
+        changes = ft.diff_configs(target)
+        current = ft.configs()
+        pair_of = {cid: pair for pair in ft.pairs
+                   if pair[0] in changes and pair[1] in changes
+                   for cid in pair}
+        units: List[PlanUnit] = []
+        added: List[Tuple[SwitchId, SwitchId]] = []
+        moved: Dict[int, Tuple[SwitchId, SwitchId]] = {}
+        for cid in sorted(changes):
+            pair = pair_of.get(cid)
+            if pair is not None and cid != min(pair):
+                continue  # the unit sits at its earlier end
+            members = (cid,) if pair is None else tuple(sorted(pair))
+            bundles = () if pair is None else (pair,)
+            old = ft.circuits(current, members, bundles, self._failures)
+            new = ft.circuits(target, members, bundles, self._failures)
+            old_cables, new_cables = _cables(old), _cables(new)
+            dark = tuple((old_cables - new_cables).elements())
+            units.append(PlanUnit(members, dark))
+            added += (new_cables - old_cables).elements()
+            homes = {a: b for tag, a, b in new if tag == "attach"}
+            for _tag, server, switch in old:
+                home = homes.get(server, switch)  # stranded: not moved
+                if isinstance(server, int) and home != switch:
+                    moved[server] = (switch, home)
+        removed = sorted((cable for unit in units for cable in unit.dark_links),
+                         key=_by_repr)
+        added.sort(key=_by_repr)
         stages = []
         if changes:
             stages = [
@@ -169,11 +207,12 @@ class Controller:
             config_changes=changes,
             links_removed=removed,
             links_added=added,
-            servers_moved=moved,
-            pairs=[(left, right) for left, right in self.flattree.pairs
-                   if left in changes and right in changes],
+            # Server ids ascend in converter order, the order servers
+            # join a materialized network.
+            servers_moved=dict(sorted(moved.items())),
+            units=units,
             stages=stages,
-        ), after
+        )
 
     def execute_mode(self, mode: Mode, **kwargs):
         """:meth:`execute_layout` for a whole-network mode."""
@@ -211,7 +250,7 @@ class Controller:
         modes = sorted({m.value for m in layout.pod_modes().values()})
         with obs.span("execute_layout", modes=",".join(modes)):
             target = hybrid_configs(self.flattree, layout.pod_modes())
-            plan, _after = self._plan(target)
+            plan = self._plan(target)
             report = execute(
                 self.flattree,
                 plan,
@@ -244,9 +283,10 @@ class Controller:
         Uses :func:`repro.core.failures.heal` to pick, per affected
         converter (and jointly per side pair), the configuration that
         keeps servers attached through healthy legs and preserves the
-        most circuits.  Returns the executed plan; the cached network is
-        the *intended* healthy materialization — ask
-        ``flattree.materialize(failures=...)`` for the degraded view.
+        most circuits.  Returns the executed plan; the network is rebuilt
+        on use as the *intended* materialization under the controller's
+        own active failures — ask ``flattree.materialize(failures=...)``
+        for the degraded view.
         """
         from repro.core.failures import heal
 
@@ -316,35 +356,14 @@ class Controller:
         return SdnProgram.compile(table)
 
 
-def _link_diff(
-    before: Network, after: Network
-) -> Tuple[List[Tuple[SwitchId, SwitchId]], List[Tuple[SwitchId, SwitchId]]]:
-    """Cable-level differences between two materializations."""
+def _cables(links: Iterable[RealizedLink]) -> Counter:
+    """The cables among ``links`` as a multiset, each oriented by repr."""
+    return Counter(tuple(sorted((a, b), key=repr))
+                   for tag, a, b in links if tag == "cable")
 
-    def multiset(net: Network) -> Dict[frozenset, int]:
-        return {
-            frozenset((u, v)): d["mult"]
-            for u, v, d in net.fabric.edges(data=True)
-        }
 
-    b, a = multiset(before), multiset(after)
-    deltas: Dict[frozenset, int] = {}
-    for key in a.keys() | b.keys():
-        delta = a.get(key, 0) - b.get(key, 0)
-        if delta:
-            deltas[key] = delta
-    removed: List[Tuple[SwitchId, SwitchId]] = []
-    added: List[Tuple[SwitchId, SwitchId]] = []
-    # Sorted, and each cable oriented by the same order, so the cable
-    # diff (and any batch schedule or link label built from it) is
-    # independent of PYTHONHASHSEED; repr keys because the switch
-    # NamedTuple variants are not mutually orderable.  Only changed
-    # cables are sorted: most of a conversion's cables stay put.
-    for key in sorted(deltas, key=lambda pair: sorted(repr(s) for s in pair)):
-        delta = deltas[key]
-        pair = tuple(sorted(key, key=repr))
-        if delta < 0:
-            removed.extend([pair] * -delta)
-        else:
-            added.extend([pair] * delta)
-    return removed, added
+def _by_repr(cable: Tuple[SwitchId, SwitchId]) -> Tuple[str, str]:
+    # repr keys, so cable lists (and any batch schedule or link label
+    # built from them) are independent of PYTHONHASHSEED: the switch
+    # NamedTuple variants are not mutually orderable.
+    return repr(cable[0]), repr(cable[1])

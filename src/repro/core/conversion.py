@@ -113,13 +113,9 @@ def convert(
         default_name = "flat-tree[hybrid]"
     with obs.span("convert", mode=mode.value if mode else "hybrid"):
         if obs.enabled():
-            before = ft.configs()
-            reprogrammed = sum(
-                1 for cid, config in assignment.items()
-                if before[cid] is not config
-            )
             obs.incr("core.conversion.converts")
-            obs.incr("core.conversion.reprogrammed", reprogrammed)
+            obs.incr("core.conversion.reprogrammed",
+                     len(ft.diff_configs(assignment)))
         ft.set_configs(assignment)
         with obs.timer("core.conversion.materialize_s"):
             return ft.materialize(name=name or default_name)

@@ -198,8 +198,8 @@ class Converter:
         Side links to the peer are *pair* circuits and are produced by
         :func:`pair_links`, not here, so that each pair is materialized
         exactly once.  With ``failures``, only circuits whose legs and
-        switches are alive are returned; dead cables are the network
-        builder's concern.
+        switches are alive are returned; dead cables are
+        :meth:`FlatTree.circuits`' concern.
         """
         config = config or self.config
         self.check_config(config)

@@ -17,7 +17,7 @@ uses precisely the fat-tree's equipment.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.core.converter import (
@@ -27,6 +27,7 @@ from repro.core.converter import (
     Converter,
     ConverterConfig,
     ConverterId,
+    RealizedLink,
     pair_links,
 )
 from repro.core.design import FlatTreeDesign
@@ -187,12 +188,8 @@ class FlatTree:
             dead = failures.switches
         cables = list(self._static_cables)
         servers = list(self._direct_attaches)
-        links = [link for cid, conv in self.converters.items()
-                 for link in conv.own_links(configs[cid], failures)]
-        for left, right in self.pairs:
-            links += pair_links(self.converters[left],
-                                self.converters[right], configs, failures)
-        for tag, a, b in links:
+        for tag, a, b in self.circuits(configs, self.converters, self.pairs,
+                                       failures):
             (cables if tag == "cable" else servers).append((a, b))
 
         net = Network(name or (f"flat-tree({self.params.pods} pods)"
@@ -207,6 +204,33 @@ class FlatTree:
             if switch not in dead:
                 net.add_server(server, switch)
         return net
+
+    def circuits(
+        self,
+        configs: Mapping[ConverterId, ConverterConfig],
+        converters: Iterable[ConverterId],
+        pairs: Iterable[Tuple[ConverterId, ConverterId]] = (),
+        failures: Optional[FailureSet] = None,
+    ) -> List[RealizedLink]:
+        """The circuits ``converters`` and the side bundles ``pairs`` realize.
+
+        Own circuits first, then side-bundle ones, each in
+        :data:`~repro.core.converter.CIRCUITS` order, under ``configs``
+        (a map naming every converter involved).  Under ``failures``
+        circuits over dead legs or switches and dead cables are dropped.
+        """
+        links = [link for cid in converters
+                 for link in self.converters[cid].own_links(configs[cid],
+                                                            failures)]
+        for left, right in pairs:
+            links += pair_links(self.converters[left],
+                                self.converters[right], configs, failures)
+        if failures is None:
+            return links
+        # An attachment names its server by int id; every other link is
+        # a cable between two switches.
+        return [link for link in links if isinstance(link[1], int)
+                or not failures.cable_dead(link[1], link[2])]
 
     # ------------------------------------------------------------------
     # conveniences
@@ -236,7 +260,11 @@ class FlatTree:
     def diff_configs(
         self, target: Mapping[ConverterId, ConverterConfig]
     ) -> Dict[ConverterId, Tuple[ConverterConfig, ConverterConfig]]:
-        """Per-converter (current, target) for entries that change."""
+        """Per-converter (current, target) for entries that change.
+
+        ``target`` is validated as :meth:`set_configs` would validate it.
+        """
+        self._staged(target)
         out: Dict[ConverterId, Tuple[ConverterConfig, ConverterConfig]] = {}
         for cid, new in target.items():
             cur = self.converters[cid].config

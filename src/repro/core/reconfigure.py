@@ -130,138 +130,45 @@ def schedule(
 ) -> Schedule:
     """Batch a plan so no batch dark-out disconnects the network.
 
-    Greedy: converters join the current batch as long as removing the
-    batch's dark links keeps ``before`` connected (checked on a scratch
-    copy); otherwise a new batch starts.  ``max_batch`` caps batch size
-    (controller fan-out limits).
-
-    Batching is *pair-atomic*: both ends of a re-programmed side pair
-    (``plan.pairs``) land in the same batch, so no intermediate
-    configuration ever holds half a pair (which
-    :meth:`FlatTree.set_configs` would reject).  A pair counts as two
-    converters against ``max_batch`` but is never split, so a batch may
-    exceed the cap by one.
+    Greedy over ``plan.units``: a unit's dark cables come off a scratch
+    copy of ``before``; when the batch would exceed ``max_batch``
+    converters (controller fan-out limits) or the scratch fabric is
+    disconnected, the batch closes, its cables go back, and the unit
+    starts the next one.  A unit is one converter or both ends of a
+    re-programmed side pair, so no intermediate configuration holds
+    half a pair (which :meth:`FlatTree.set_configs` would reject); a
+    pair is never split, so a batch may exceed the cap by one.
     """
-    if max_batch < 1:
-        raise ConfigurationError("max_batch must be positive")
-    converters = sorted(plan.config_changes)
-    if not converters:
-        return Schedule(technology=technology)
-    sched = _build_schedule(plan, before, technology, max_batch,
-                            converters)
-    obs.incr("core.reconfigure.schedules")
-    obs.incr("core.reconfigure.batches", sched.num_batches)
-    obs.incr("core.reconfigure.converters_scheduled", len(converters))
-    obs.set_gauge("core.reconfigure.last_total_time_s", sched.total_time)
-    return sched
-
-
-def _atomic_units(converters: List, pairs: Sequence[Tuple]) -> List[List]:
-    """Group converters into indivisible scheduling units.
-
-    The two ends of a re-programmed pair form one unit, placed at the
-    earlier end's position in the sorted order; every other converter
-    is its own unit.
-    """
-    mate: Dict = {}
-    for left, right in pairs:
-        mate[left] = right
-        mate[right] = left
-    units: List[List] = []
-    seen = set()
-    for cid in converters:
-        if cid in seen:
-            continue
-        seen.add(cid)
-        other = mate.get(cid)
-        if other is None:
-            units.append([cid])
-        else:
-            seen.add(other)
-            units.append([cid, other])
-    return units
-
-
-def _build_schedule(
-    plan: ReconfigurationPlan,
-    before: Network,
-    technology: Technology,
-    max_batch: int,
-    converters: List,
-) -> Schedule:
     from repro.topology.stats import is_connected
 
-    dark_by_converter = _links_by_converter(plan)
-    units = _atomic_units(converters, plan.pairs)
-
-    batches: List[List] = []
-    batch_links: List[List[Tuple[SwitchId, SwitchId]]] = []
-    current: List = []
-    current_links: List[Tuple[SwitchId, SwitchId]] = []
+    if max_batch < 1:
+        raise ConfigurationError("max_batch must be positive")
+    sched = Schedule(technology=technology)
+    if not plan.units:
+        return sched
     scratch = before.copy()
-    removed: List[Tuple[SwitchId, SwitchId]] = []
-    for unit in units:
-        candidate = [link for cid in unit
-                     for link in dark_by_converter.get(cid, [])]
-        taken: List[Tuple[SwitchId, SwitchId]] = []
-        for u, v in candidate:
-            if scratch.capacity(u, v) > 0:
-                scratch.remove_cable(u, v)
-                removed.append((u, v))
-                taken.append((u, v))
-        if (len(current) + len(unit) > max_batch
-                or not is_connected(scratch)):
-            # Close the batch, restore scratch, start fresh with unit.
-            if current:
-                batches.append(current)
-                batch_links.append(current_links)
-            current = []
-            current_links = []
-            for u, v in removed:
+    batch: List = []
+    dark: List[Tuple[SwitchId, SwitchId]] = []
+    for unit in plan.units:
+        for u, v in unit.dark_links:
+            scratch.remove_cable(u, v)
+        if batch and (len(batch) + len(unit.converters) > max_batch
+                      or not is_connected(scratch)):
+            sched.batches.append(batch)
+            sched.dark_links.append(dark)
+            for u, v in dark:
                 scratch.add_cable(u, v)
-            removed = []
-            taken = []
-            for u, v in candidate:
-                if scratch.capacity(u, v) > 0:
-                    scratch.remove_cable(u, v)
-                    removed.append((u, v))
-                    taken.append((u, v))
-        current.extend(unit)
-        current_links.extend(taken)
-    if current:
-        batches.append(current)
-        batch_links.append(current_links)
-    return Schedule(technology=technology, batches=batches,
-                    dark_links=batch_links)
-
-
-def _links_by_converter(plan: ReconfigurationPlan) -> Dict:
-    """Attribute the plan's removed links to converters, best effort.
-
-    A removed link belongs to a converter when one endpoint is the
-    converter's core/agg/edge switch; ambiguous links (shared switches)
-    are attributed to the first matching converter — the schedule only
-    needs a conservative grouping, not an exact one.
-    """
-    remaining = list(plan.links_removed)
-    out: Dict = {}
-    for cid, _change in sorted(plan.config_changes.items()):
-        mine = []
-        rest = []
-        for u, v in remaining:
-            if _touches(cid, u) or _touches(cid, v):
-                mine.append((u, v))
-            else:
-                rest.append((u, v))
-        remaining = rest
-        out[cid] = mine
-    return out
-
-
-def _touches(cid, switch: SwitchId) -> bool:
-    if switch.kind in ("edge", "agg"):
-        return switch.pod == cid.pod
-    return False
+            batch, dark = [], []
+        batch += unit.converters
+        dark += unit.dark_links
+    sched.batches.append(batch)
+    sched.dark_links.append(dark)
+    obs.incr("core.reconfigure.schedules")
+    obs.incr("core.reconfigure.batches", sched.num_batches)
+    obs.incr("core.reconfigure.converters_scheduled",
+             len(plan.config_changes))
+    obs.set_gauge("core.reconfigure.last_total_time_s", sched.total_time)
+    return sched
 
 
 @dataclass(frozen=True)

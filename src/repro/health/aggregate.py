@@ -92,22 +92,6 @@ class LinkRollup:
         self.last_t = 0.0
         self.samples = 0
 
-    def record(self, t: float, utilization: float) -> None:
-        # Inlined Ewma.update: this runs once per link_sample, the
-        # dominant event on a monitored bus, and the method call +
-        # defensive float() there are measurable at that volume.
-        self.samples += 1
-        ewma = self.ewma
-        ewma.count += 1
-        if ewma.count == 1:
-            ewma.value = utilization
-        else:
-            ewma.value += ewma.alpha * (utilization - ewma.value)
-        self.last = utilization
-        self.last_t = t
-        if utilization > self.peak:
-            self.peak = utilization
-
     def snapshot(self) -> Dict[str, object]:
         return {
             "link": self.link,
@@ -276,8 +260,8 @@ class HealthAggregator:
             if kind == "link_sample":
                 # ~90% of a monitored run's bus traffic lands here: keep
                 # it to two dict probes and one inlined rollup update
-                # (the LinkRollup.record body, spelled out to drop a
-                # call frame per sample — see the 5% bar in benchmarks).
+                # (Ewma.update spelled out to drop a call frame per
+                # sample — see the 5% bar in benchmarks).
                 link = get("link")
                 utilization = get("utilization")
                 if isinstance(link, str) and isinstance(utilization,

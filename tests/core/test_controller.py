@@ -106,6 +106,24 @@ class TestConversionPlans:
         for u, v in plan.links_added:
             assert controller.network.fabric.has_edge(u, v)
 
+    def test_plan_leaves_a_stranded_server_out(self):
+        """A target that strands a server plans it as unmoved, not a crash."""
+        from repro.chaos import ChaosEvent, ChaosSchedule
+        from repro.core.failures import Leg
+
+        ft = FlatTree(FlatTreeDesign.for_fat_tree(4))
+        controller = Controller(ft)
+        victim = sorted(ft.four_port_ids())[0]
+        chaos = ChaosSchedule(events=(ChaosEvent.leg_fail(0.0, victim,
+                                                          Leg.EDGE),))
+        controller.execute_mode(Mode.GLOBAL_RANDOM, chaos=chaos)
+        assert controller.degraded
+        server = ft.converters[victim].server
+        assert server in controller.network.servers()
+        plan = controller.apply_mode(Mode.CLOS)
+        assert server not in plan.servers_moved
+        assert server not in controller.network.servers()
+
 
 class TestRouting:
     def test_clos_uses_two_level(self, controller):

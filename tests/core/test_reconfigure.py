@@ -81,15 +81,11 @@ class TestSchedule:
         """Re-verify the schedule's own invariant independently."""
         _controller, before, plan = converted
         sched = schedule(plan, before, max_batch=16)
-        from repro.core.reconfigure import _links_by_converter
-
-        dark = _links_by_converter(plan)
-        for batch in sched.batches:
+        assert len(sched.dark_links) == sched.num_batches
+        for links in sched.dark_links:
             scratch = before.copy()
-            for cid in batch:
-                for u, v in dark.get(cid, []):
-                    if scratch.capacity(u, v) > 0:
-                        scratch.remove_cable(u, v)
+            for u, v in links:
+                scratch.remove_cable(u, v)
             assert is_connected(scratch)
 
     def test_summary_readable(self, converted):

@@ -217,6 +217,32 @@ class TestUsage:
         with pytest.raises(SystemExit):
             main(["convert", "--k", "8", "--mode", "sideways"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["schedule", "--k", "4", "--max-batch", "0"],
+         "argument --max-batch: must be >= 1"),
+        (["chaos", "--max-batch", "0"], "argument --max-batch: must be >= 1"),
+        (["chaos", "--trials", "0"], "argument --trials: must be >= 1"),
+        (["degradation", "--draws", "0"], "argument --draws: must be >= 1"),
+        (["monitor", "--retention", "0"],
+         "argument --retention: must be >= 1"),
+        (["monitor", "--interval", "-1"],
+         "argument --interval: must be >= 0"),
+        (["downscale", "--k", "4", "--flows", "0"],
+         "argument --flows: must be >= 1"),
+        (["fct", "--ks", "4", "--flows", "1", "--monitor"],
+         "fct: monitored FCT needs at least 2 flows"),
+    ], ids=["schedule-max-batch", "chaos-max-batch", "chaos-trials",
+            "degradation-draws", "monitor-retention", "monitor-interval",
+            "downscale-flows", "fct-monitor-flows"])
+    def test_out_of_range_number_exits_two(self, capsys, argv, message):
+        """Each of these ended in a traceback (exit 1)."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestVersionAndInfo:
     def test_version_flag(self, capsys):

@@ -16,14 +16,15 @@ estimates used in the topology literature:
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import maximum_flow
 
 from repro.errors import SolverError
 from repro.topology.elements import Network, SwitchId
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _SCALE = 10_000
 
@@ -31,6 +32,8 @@ _SCALE = 10_000
 def _capacity_matrix(
     net: Network, extra_nodes: int = 0
 ) -> Tuple[sp.csr_matrix, Dict[SwitchId, int]]:
+    import scipy.sparse as sp
+
     index = net.switch_index()
     n = len(index) + extra_nodes
     rows, cols, vals = [], [], []
@@ -50,6 +53,8 @@ def flow_between_sets(
     net: Network, side_a, side_b
 ) -> float:
     """Max flow from switch set ``side_a`` to ``side_b`` (super nodes)."""
+    from scipy.sparse.csgraph import maximum_flow
+
     side_a, side_b = set(side_a), set(side_b)
     if not side_a or not side_b:
         raise SolverError("both sides of a cut need at least one switch")

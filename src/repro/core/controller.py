@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro import obs
@@ -118,6 +119,19 @@ class Controller:
             )
         return self._network
 
+    @cached_property
+    def _rank(self) -> Dict[SwitchId, int]:
+        """Each plant switch's position in ``repr`` order.
+
+        Plans orient and sort cables by it, so cable lists (and any
+        batch schedule or link label built from them) are independent
+        of PYTHONHASHSEED: the switch NamedTuple variants are not
+        mutually orderable.  The plant's switches never change, so one
+        table serves every plan.
+        """
+        ordered = sorted(self.flattree.switches, key=repr)
+        return {switch: i for i, switch in enumerate(ordered)}
+
     @property
     def degraded(self) -> bool:
         """True when failures are active or a conversion was aborted."""
@@ -162,6 +176,11 @@ class Controller:
         ft = self.flattree
         changes = ft.diff_configs(target)
         current = ft.configs()
+        rank = self._rank
+
+        def by_rank(cable: Tuple[SwitchId, SwitchId]) -> Tuple[int, int]:
+            return rank[cable[0]], rank[cable[1]]
+
         pair_of = {cid: pair for pair in ft.pairs
                    if pair[0] in changes and pair[1] in changes
                    for cid in pair}
@@ -176,7 +195,7 @@ class Controller:
             bundles = () if pair is None else (pair,)
             old = ft.circuits(current, members, bundles, self._failures)
             new = ft.circuits(target, members, bundles, self._failures)
-            old_cables, new_cables = _cables(old), _cables(new)
+            old_cables, new_cables = _cables(old, rank), _cables(new, rank)
             dark = tuple((old_cables - new_cables).elements())
             units.append(PlanUnit(members, dark))
             added += (new_cables - old_cables).elements()
@@ -186,8 +205,8 @@ class Controller:
                 if isinstance(server, int) and home != switch:
                     moved[server] = (switch, home)
         removed = sorted((cable for unit in units for cable in unit.dark_links),
-                         key=_by_repr)
-        added.sort(key=_by_repr)
+                         key=by_rank)
+        added.sort(key=by_rank)
         stages = []
         if changes:
             stages = [
@@ -356,14 +375,8 @@ class Controller:
         return SdnProgram.compile(table)
 
 
-def _cables(links: Iterable[RealizedLink]) -> Counter:
-    """The cables among ``links`` as a multiset, each oriented by repr."""
-    return Counter(tuple(sorted((a, b), key=repr))
+def _cables(links: Iterable[RealizedLink],
+            rank: Mapping[SwitchId, int]) -> Counter:
+    """The cables among ``links`` as a multiset, each oriented by rank."""
+    return Counter((a, b) if rank[a] <= rank[b] else (b, a)
                    for tag, a, b in links if tag == "cable")
-
-
-def _by_repr(cable: Tuple[SwitchId, SwitchId]) -> Tuple[str, str]:
-    # repr keys, so cable lists (and any batch schedule or link label
-    # built from them) are independent of PYTHONHASHSEED: the switch
-    # NamedTuple variants are not mutually orderable.
-    return repr(cable[0]), repr(cable[1])

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import compress
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ReproError
 from repro.routing.base import Path
-from repro.topology.elements import Network, SwitchId
+from repro.topology.elements import LinkIndex, Network, SwitchId
 
 LinkKey = Tuple[SwitchId, SwitchId]
 
@@ -86,9 +87,121 @@ def link_allocation(
     return link_rates, link_flows
 
 
+class FlowSet:
+    """Routed flows and their (flow, link) incidence over one link index.
+
+    The form the allocator works on, kept so that a caller whose flows
+    change a few at a time never regathers the rest.  ``flows`` and
+    ``ids`` list the flows in admission order; ``owner`` and
+    ``crossing`` are the flow-major (flow position, link id) entries of
+    every link a flow crosses; ``count`` holds each link id's number of
+    entries, over all of ``index``'s links.  :meth:`admit` appends flows
+    and :meth:`trim` drops them, keeping the others' order, so every
+    array equals the one a set built afresh from :attr:`flows` holds.
+    """
+
+    def __init__(self, index: LinkIndex,
+                 flows: Iterable[RoutedFlow] = ()) -> None:
+        self.index = index
+        self.flows: List[RoutedFlow] = []
+        self.ids: List[int] = []
+        self.owner = np.empty(0, dtype=np.intp)
+        self.crossing = np.empty(0, dtype=np.intp)
+        self.count = np.zeros(index.capacity.size, dtype=np.intp)
+        self.capped = 0  # flows with a demand ceiling
+        self.admit(flows)
+
+    def __len__(self) -> int:
+        return len(self.flows)
+
+    def __iter__(self) -> Iterator[RoutedFlow]:
+        return iter(self.flows)
+
+    def admit(self, flows: Iterable[RoutedFlow]) -> None:
+        """Append ``flows``, in order, after the flows already here.
+
+        Every new path is checked first, in order, then the flow ids;
+        nothing changes when either check raises.
+        """
+        flows = list(flows)
+        links = [self.index.path_links(flow.path.nodes) for flow in flows]
+        ids = self.ids + [flow.flow_id for flow in flows]
+        if len(set(ids)) != len(ids):
+            raise ReproError("flow ids must be unique")
+        first, entries = len(self.flows), self.crossing.size
+        hops = [len(link_ids) for link_ids in links]
+        self.owner = np.concatenate(
+            (self.owner, np.repeat(np.arange(first, len(ids)), hops)))
+        self.crossing = np.concatenate((self.crossing, *links))
+        np.add.at(self.count, self.crossing[entries:], 1)
+        self.flows += flows
+        self.ids = ids
+        self.capped += sum(flow.demand is not None for flow in flows)
+
+    def trim(self, keep: np.ndarray) -> None:
+        """Drop the flows where the boolean array ``keep`` is False."""
+        entry = keep[self.owner]
+        np.subtract.at(self.count, self.crossing[~entry], 1)
+        self.crossing = self.crossing[entry]
+        position = np.add.accumulate(keep, dtype=np.intp) - 1
+        self.owner = position[self.owner[entry]]
+        mask = keep.tolist()
+        self.flows = list(compress(self.flows, mask))
+        self.ids = list(compress(self.ids, mask))
+        if self.capped:
+            self.capped = sum(flow.demand is not None for flow in self.flows)
+
+    def water_fill(self) -> np.ndarray:
+        """Max-min rates of :attr:`flows`, in their order.
+
+        Each round finds the lowest fair share ``level`` among the
+        loaded links.  Active flows whose demand is at most ``level``
+        freeze at their demand; otherwise every flow crossing a link
+        whose share equals ``level`` freezes at ``level``.  Frozen flows
+        give their rate back off every link they cross and leave the
+        round's entries.  Zero-hop flows never cross the fabric: their
+        rate is their demand (``inf`` for an elastic flow).
+        """
+        demand = None
+        if self.capped:
+            demand = np.array(
+                [math.inf if f.demand is None else f.demand
+                 for f in self.flows],
+                dtype=float,
+            )
+        owner, crossing = self.owner, self.crossing
+        # Active flows hold nan until they freeze.
+        rates = np.where(np.bincount(owner, minlength=len(self.flows)) == 0,
+                         math.inf if demand is None else demand, math.nan)
+        if not crossing.size:
+            return rates
+        # Every link an entry names carries at least one active flow:
+        # an entry leaves when its flow freezes.
+        count = self.count.copy()
+        remaining = self.index.capacity.copy()
+        while True:
+            share = remaining[crossing] / count[crossing]
+            level = share.min()
+            hit = None if demand is None else demand[owner] <= level
+            if hit is not None and hit.any():
+                rates[owner[hit]] = demand[owner[hit]]
+            else:
+                rates[owner[share == level]] = level
+                hit = rates[owner] == level
+            if hit.all():
+                return rates
+            crossed = crossing[hit]
+            count -= np.bincount(crossed, minlength=count.size)
+            remaining -= np.bincount(crossed, weights=rates[owner[hit]],
+                                     minlength=count.size)
+            np.maximum(remaining, 0.0, out=remaining)
+            live = ~hit
+            owner, crossing = owner[live], crossing[live]
+
+
 def max_min_fair_rates(
     net: Network,
-    flows: List[RoutedFlow],
+    flows: Union[List[RoutedFlow], FlowSet],
     monitor=None,
     now: float = 0.0,
 ) -> FairShareResult:
@@ -96,81 +209,28 @@ def max_min_fair_rates(
 
     Each fabric cable contributes its capacity independently per
     direction (full-duplex, consistent with the MCF model).  The filling
-    runs as numpy array operations over the network's
-    :class:`~repro.topology.elements.LinkIndex`: each round costs a
-    fixed number of passes over the still-active flows' (flow, link)
-    pairs, and there is one round per distinct rate level, not one per
-    bottleneck link.
+    runs as numpy array operations over a :class:`FlowSet` on the
+    network's :class:`~repro.topology.elements.LinkIndex`: each round
+    costs a fixed number of passes over the still-active flows' (flow,
+    link) entries, and there is one round per distinct rate level, not
+    one per bottleneck link.
+
+    ``flows`` is a list of :class:`RoutedFlow`, from which a set is
+    built on the spot (checking the capacities, then every path, then
+    the flow ids), or a :class:`FlowSet` the caller keeps over
+    ``net.link_index()``, as :class:`~repro.flowsim.FlowSimulator` does
+    from event to event.
 
     ``monitor`` (a :class:`repro.monitor.NetworkMonitor`, or anything
     with ``on_allocation``) receives the per-directed-link rates and
     active-flow counts of this allocation, stamped at simulated time
     ``now``; ``None`` skips all monitoring work.
     """
-    index = net.link_index()
-    links = [index.path_links(flow.path.nodes) for flow in flows]
-    ids = [flow.flow_id for flow in flows]
-    if len(set(ids)) != len(ids):
-        raise ReproError("flow ids must be unique")
-    demand = None
-    if any(flow.demand is not None for flow in flows):
-        demand = np.array(
-            [math.inf if f.demand is None else f.demand for f in flows],
-            dtype=float,
-        )
-    rates = dict(zip(ids, _water_fill(index.capacity, links, demand).tolist()))
+    if not isinstance(flows, FlowSet):
+        flows = FlowSet(net.link_index(), flows)
+    elif flows.index is not net.link_index():
+        raise ReproError("the flow set is kept over another fabric's links")
+    rates = dict(zip(flows.ids, flows.water_fill().tolist()))
     if monitor is not None:
-        monitor.on_allocation(now, *link_allocation(flows, rates))
+        monitor.on_allocation(now, *link_allocation(flows.flows, rates))
     return FairShareResult(rates=rates)
-
-
-def _water_fill(
-    capacity: np.ndarray,
-    links: List[np.ndarray],
-    demand: Optional[np.ndarray],
-) -> np.ndarray:
-    """Max-min rates of flows crossing ``links`` (ids into ``capacity``).
-
-    ``demand`` holds each flow's rate ceiling (``inf`` for an elastic
-    flow); ``None`` means every flow is elastic.  Each round finds the
-    lowest fair share ``level`` among the loaded links.  Active flows
-    whose demand is at most ``level`` freeze at their demand; otherwise
-    every flow crossing a link whose share equals ``level`` freezes at
-    ``level``.  Frozen flows give their rate back off every link they
-    cross and leave the incidence.  Zero-hop flows never cross the
-    fabric: their rate is their demand.
-    """
-    n = len(links)
-    hops = np.fromiter(map(len, links), dtype=np.intp, count=n)
-    # Active flows hold nan until they freeze.
-    rates = np.where(hops == 0, math.inf if demand is None else demand,
-                     math.nan)
-    if not hops.any():
-        return rates
-    # One entry per (flow, link) pair, links renumbered densely.  An
-    # entry leaves when its flow freezes, so every link an entry names
-    # carries at least one active flow.
-    crossings = np.concatenate(links)
-    owner = np.repeat(np.arange(n), hops)
-    count = np.bincount(crossings, minlength=capacity.size)
-    used = np.flatnonzero(count)
-    slot = np.searchsorted(used, crossings)
-    count = count[used]
-    remaining = capacity[used]
-    while True:
-        share = remaining[slot] / count[slot]
-        level = share.min()
-        hit = None if demand is None else demand[owner] <= level
-        if hit is not None and hit.any():
-            rates[owner[hit]] = demand[owner[hit]]
-        else:
-            rates[owner[share == level]] = level
-            hit = rates[owner] == level
-        if hit.all():
-            return rates
-        crossed = slot[hit]
-        count -= np.bincount(crossed, minlength=used.size)
-        remaining -= np.bincount(crossed, weights=rates[owner[hit]],
-                                 minlength=used.size)
-        np.maximum(remaining, 0.0, out=remaining)
-        owner, slot = owner[~hit], slot[~hit]

@@ -16,11 +16,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Callable, List, Optional, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.errors import ReproError
-from repro.flowsim.fairshare import RoutedFlow, max_min_fair_rates
+from repro.flowsim.fairshare import FlowSet, RoutedFlow, max_min_fair_rates
 from repro.obs.stats import nearest_rank_quantile
 from repro.routing.base import Path
 from repro.topology.elements import Network
@@ -139,6 +142,16 @@ def _path_alive(path: Path, net: Network) -> bool:
 class FlowSimulator:
     """Discrete-event fluid simulation over a fixed topology.
 
+    The active flows are kept from event to event as one
+    :class:`~repro.flowsim.fairshare.FlowSet` over the network's link
+    index: an arrival appends to it, a completion trims it, and a
+    :class:`TopologyEvent` rebuilds it over the new fabric with rerouted
+    flows in their admission position.  Each recompute hands the set to
+    the module's ``max_min_fair_rates`` (a global, so tests and the
+    benchmark's tracing can rebind it).  Remaining sizes and rates are
+    arrays aligned with the set, updated with the same float operations,
+    in the same order, as per-flow bookkeeping would do them.
+
     ``monitor`` (a :class:`repro.monitor.NetworkMonitor`) receives the
     per-link allocation of every rate recomputation, stamped with
     simulated time — the flowsim side of the network monitoring plane.
@@ -178,9 +191,6 @@ class FlowSimulator:
 
         pending = deque(sorted(flows, key=lambda f: (f.arrival, f.flow_id)))
         topo = deque(sorted(events, key=lambda e: e.t))
-        active: Dict[int, FlowSpec] = {}
-        remaining: Dict[int, float] = {}
-        routed: Dict[int, RoutedFlow] = {}
         result = SimulationResult()
         budget = max_events if max_events is not None else (
             10 * len(flows) + 10 * len(topo) + 100
@@ -188,21 +198,21 @@ class FlowSimulator:
 
         with obs.span("flowsim.run", flows=len(flows), net=self.net.name), \
                 obs.timer("flowsim.run_s"):
-            self._event_loop(pending, active, remaining, routed, result,
-                             budget, topo)
+            self._event_loop(pending, result, budget, topo)
         return result
 
-    def _event_loop(self, pending, active, remaining, routed, result,
-                    budget, topo) -> None:
+    def _event_loop(self, pending, result, budget, topo) -> None:
         """Advance the fluid clock event by event.
 
-        ``pending`` and ``topo`` are deques in time order; ``routed``
-        holds each active flow's :class:`RoutedFlow`, in admission
-        order, from its admission or latest reroute.
+        ``pending`` and ``topo`` are deques in time order; ``specs``
+        and the ``remaining`` sizes are aligned with the ``active`` set.
         """
         now = 0.0
         events = 0
         recomputes = 0
+        active = FlowSet(self.net.link_index())
+        specs: List[FlowSpec] = []
+        remaining = np.empty(0)
         while pending or active:
             events += 1
             if events > budget:
@@ -212,59 +222,69 @@ class FlowSimulator:
             # Apply due topology changes first: router swaps must
             # precede this instant's admissions and rate recomputation.
             while topo and topo[0].t <= now + 1e-12:
-                self._apply_topology(topo.popleft(), now, active, remaining,
-                                     routed, result)
+                active, specs, remaining = self._apply_topology(
+                    topo.popleft(), now, active, specs, remaining, result)
             # Admit all arrivals at or before `now`.
+            admitted: List[RoutedFlow] = []
             while pending and pending[0].arrival <= now + 1e-12:
                 spec = pending.popleft()
                 path = self.router(spec.src_server, spec.dst_server,
                                    spec.flow_id)
-                active[spec.flow_id] = spec
-                remaining[spec.flow_id] = spec.size
-                routed[spec.flow_id] = RoutedFlow(spec.flow_id, path)
-            if not active:
+                admitted.append(RoutedFlow(spec.flow_id, path))
+                specs.append(spec)
+            if not active and not admitted:
                 if not pending:
                     break  # a topology event failed the last flows
                 now = pending[0].arrival
                 if topo and topo[0].t < now:
                     now = topo[0].t
                 continue
+            index = self.net.link_index()
+            if active.index is not index:  # the fabric was edited in place
+                active = FlowSet(index, active.flows)
+            if admitted:
+                active.admit(admitted)
+                remaining = np.concatenate(
+                    (remaining, [s.size for s in specs[-len(admitted):]]))
 
             rates = max_min_fair_rates(
                 self.net,
-                list(routed.values()),
+                active,
                 monitor=self.monitor,
                 now=now,
             ).rates
+            rate = np.fromiter(map(rates.__getitem__, active.ids),
+                               dtype=float, count=len(active))
             recomputes += 1
-            # Next event: earliest completion vs next arrival.
-            next_completion = math.inf
-            for fid in active:
-                rate = rates[fid]
-                if rate <= 0:
-                    raise ReproError(f"flow {fid} starved (rate 0)")
-                if math.isinf(rate):
-                    next_completion = 0.0
-                    break
-                next_completion = min(next_completion,
-                                      remaining[fid] / rate)
+            # Next event: earliest completion vs next arrival.  The
+            # first flow, in admission order, that is starved or
+            # unbounded decides.
+            stop = ((rate <= 0) | np.isinf(rate)).nonzero()[0]
+            if not stop.size:
+                next_completion = float((remaining / rate).min())
+            elif rate[stop[0]] > 0:
+                next_completion = 0.0
+            else:
+                raise ReproError(
+                    f"flow {active.ids[stop[0]]} starved (rate 0)")
             next_arrival = pending[0].arrival - now if pending else math.inf
             next_topo = topo[0].t - now if topo else math.inf
             step = min(next_completion, next_arrival, max(next_topo, 0.0))
 
-            finished: List[int] = []
-            for fid in list(active):
-                rate = rates[fid]
-                if math.isinf(rate):
-                    remaining[fid] = 0.0
-                else:
-                    remaining[fid] -= rate * step
-                if remaining[fid] <= 1e-9:
-                    finished.append(fid)
+            if stop.size:
+                unbounded = np.isinf(rate)
+                remaining -= np.where(unbounded, 0.0, rate) * step
+                remaining[unbounded] = 0.0
+            else:
+                remaining -= rate * step
+            finished = remaining <= 1e-9
             now += step
-            for fid in finished:
-                spec = active.pop(fid)
-                path = routed.pop(fid).path
+            done = finished.nonzero()[0]
+            if not done.size:
+                continue
+            for i in done.tolist():
+                spec = specs[i]
+                path = active.flows[i].path
                 result.completed.append(
                     CompletedFlow(
                         spec=spec,
@@ -274,23 +294,29 @@ class FlowSimulator:
                         path=path,
                     )
                 )
-                del remaining[fid]
                 # Per-completion FCT observation: the health plane's
                 # windowed-p99 regression rollup feeds off this stream.
                 obs.observe("flowsim.fct_s", now - spec.arrival)
+            keep = ~finished
+            active.trim(keep)
+            specs = list(compress(specs, keep.tolist()))
+            remaining = remaining[keep]
         obs.incr("flowsim.events", events)
         obs.incr("flowsim.fairshare_recomputes", recomputes)
         obs.incr("flowsim.flows_completed", len(result.completed))
         if result.failed:
             obs.incr("flowsim.flows_failed", len(result.failed))
 
-    def _apply_topology(self, event: TopologyEvent, now, active, remaining,
-                        routed, result) -> None:
+    def _apply_topology(self, event: TopologyEvent, now, active, specs,
+                        remaining, result):
         """Swap in a new network, salvaging active flows.
 
         Flows whose path lost a link are re-routed through the (new)
-        router; flows the router cannot place are dropped into
-        ``result.failed`` with their unfinished byte count.
+        router, in flow-id order; flows the router cannot place are
+        dropped into ``result.failed`` with their unfinished byte count.
+        Returns the surviving flows' set, rebuilt over the new fabric
+        with rerouted flows in their admission position, and their
+        ``specs`` and ``remaining`` sizes.
         """
         self.net = event.net
         if event.router is not None:
@@ -298,28 +324,33 @@ class FlowSimulator:
         if self.monitor is not None:
             self.monitor.rebind(event.net)
         obs.incr("flowsim.topology_events")
-        for fid in sorted(active):
-            if _path_alive(routed[fid].path, self.net):
+        flows = list(active.flows)
+        keep = [True] * len(flows)
+        for i in sorted(range(len(flows)), key=active.ids.__getitem__):
+            if _path_alive(flows[i].path, self.net):
                 continue
-            spec = active[fid]
+            spec = specs[i]
+            fid = spec.flow_id
             try:
                 path = self.router(spec.src_server, spec.dst_server, fid)
                 path.validate_on(self.net)
             except (ReproError, KeyError) as exc:
-                active.pop(fid)
+                keep[i] = False
                 result.failed.append(FailedFlow(
                     spec=spec,
                     start=spec.arrival,
                     failed_at=now,
-                    remaining=remaining.pop(fid),
+                    remaining=float(remaining[i]),
                     reason=str(exc) or "no surviving path",
                 ))
-                del routed[fid]
                 obs.event("flowsim.flow_rerouted", flow_id=fid,
                           outcome="failed", t=now)
                 continue
-            routed[fid] = RoutedFlow(fid, path)
+            flows[i] = RoutedFlow(fid, path)
             result.rerouted += 1
             obs.incr("flowsim.flows_rerouted")
             obs.event("flowsim.flow_rerouted", flow_id=fid,
                       outcome="rerouted", t=now)
+        survivors = FlowSet(self.net.link_index(), compress(flows, keep))
+        return (survivors, list(compress(specs, keep)),
+                remaining[np.array(keep, dtype=bool)])

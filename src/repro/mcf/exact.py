@@ -41,8 +41,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import OptimizeWarning, linprog
 
 from repro import obs
 from repro.errors import SolverError
@@ -59,6 +57,16 @@ _ATTEMPTS = (
 
 #: The one warning ``linprog`` raises while forwarding ``run_crossover``.
 _FORWARDED_OPTION = r"Unrecognized options detected: \{'run_crossover'"
+
+
+def linprog(*args, **kwargs):
+    """:func:`scipy.optimize.linprog`, imported on the first call.
+
+    Importing this module loads no scipy; the solve pays the import.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 @dataclass
@@ -90,6 +98,9 @@ def solve_concurrent_exact(
     :class:`SolverError` only on solver-level failure (λ = 0 with zero
     flow is always feasible, so genuine infeasibility cannot occur).
     """
+    import scipy.sparse as sp
+    from scipy.optimize import OptimizeWarning
+
     num_arcs = problem.num_arcs
     num_nodes = problem.num_nodes
     num_groups = problem.num_groups

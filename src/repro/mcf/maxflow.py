@@ -11,8 +11,6 @@ from __future__ import annotations
 from typing import Dict
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import maximum_flow
 
 from repro.errors import SolverError
 from repro.mcf.commodities import FlowProblem
@@ -61,6 +59,9 @@ def single_pair_max_flow(net: Network, src: SwitchId, dst: SwitchId) -> float:
     Capacities are the cable-bundle capacities; both directions of a
     cable may be used simultaneously (full-duplex model).
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import maximum_flow
+
     if src == dst:
         raise SolverError("source and destination switches coincide")
     index = net.switch_index()

@@ -10,12 +10,15 @@ ids whose neighbor lists keep the fabric's own order.  It follows
 networkx's simple-paths generator step for step — the same
 bidirectional-BFS spur search, the same ``(length, push order)`` heap
 tie-break, the same stop after the k-th path — so it returns the same
-paths in the same order; the tests keep networkx as its oracle.  Two
+paths in the same order; the tests keep networkx as its oracle.  Three
 things make it cheaper than that generic code.  A spur search bans the
 root's switches in a ``bytearray`` instead of filtering neighbor
-iterators.  And it ignores only the spur switch's own edges into the
-paths already found: every edge Yen ignores for a shorter root touches
-a banned switch, so the search never crosses it anyway.
+iterators.  It ignores only the spur switch's own edges into the paths
+already found: every edge Yen ignores for a shorter root touches a
+banned switch, so the search never crosses it anyway.  And, by
+Lawler's rule, a path's spur loop starts at the index where its parent's
+spur search found it: the searches before that index would only find
+paths already queued.
 """
 
 from __future__ import annotations
@@ -69,6 +72,14 @@ def _yen(
     A candidate already queued is not queued again, the queue pops by
     ``(length, push order)``, and no spur search runs once the k-th
     path is found.  Returns ``[]`` when ``t`` is unreachable.
+
+    Lawler's rule: a path first queued by the spur search at index
+    ``i`` of its parent shares the parent's first ``i`` switches, so its
+    own spur loop starts at ``i``.  A search at an index ``j < i`` would
+    repeat, with the same banned switches and blocked next hops, the
+    last search made at ``j`` for that root, whose result is still
+    queued and would be skipped; so the pushes, and the paths, are
+    those of the loop that starts at 1.
     """
     n = len(neighbors)
     pred = [0] * n
@@ -77,13 +88,15 @@ def _yen(
     if first is None:
         return []
     paths = [first]
-    queue: List[Tuple[int, int, IdPath]] = []
+    queue: List[Tuple[int, int, int, IdPath]] = []
     queued = set()
     pushes = count()
-    last = first
+    last, start = first, 1
     while len(paths) < k:
         banned = bytearray(n)
-        for i in range(1, len(last)):
+        for v in last[:start - 1]:
+            banned[v] = 3
+        for i in range(start, len(last)):
             root = last[:i]
             spur = root[-1]
             blocked = {p[i] for p in paths if p[:i] == root}
@@ -93,11 +106,11 @@ def _yen(
                 path = root[:-1] + tail
                 if path not in queued:
                     queued.add(path)
-                    heappush(queue, (len(path), next(pushes), path))
+                    heappush(queue, (len(path), next(pushes), i, path))
             banned[spur] = 3
         if not queue:
             break
-        last = heappop(queue)[2]
+        _length, _order, start, last = heappop(queue)
         queued.remove(last)
         paths.append(last)
     return paths

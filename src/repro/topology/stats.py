@@ -14,20 +14,31 @@ orders of magnitude faster than per-server BFS in Python.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from repro.errors import TopologyError
 from repro.topology.elements import Network, ServerId, SwitchId
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def adjacency_matrix(
     net: Network, index: Optional[Dict[SwitchId, int]] = None
 ) -> sp.csr_matrix:
     """Unweighted switch adjacency (parallel cables collapse to 1)."""
+    import scipy.sparse as sp
+
     idx = index or net.switch_index()
     n = len(idx)
     rows: List[int] = []
@@ -48,6 +59,8 @@ def switch_distances(
     Returns a dense ``(n, n)`` float array (``inf`` marks disconnected
     pairs) and the switch -> row index mapping.
     """
+    from scipy.sparse.csgraph import shortest_path
+
     idx = net.switch_index()
     adj = adjacency_matrix(net, idx)
     dist = shortest_path(adj, method="D", directed=False, unweighted=True)
@@ -56,6 +69,8 @@ def switch_distances(
 
 def is_connected(net: Network) -> bool:
     """Whether the switch fabric is a single connected component."""
+    from scipy.sparse.csgraph import connected_components
+
     if net.num_switches == 0:
         return True
     adj = adjacency_matrix(net)

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import heapq
+import random
+from collections import deque
+
 import pytest
 
 from repro import obs
+from repro.core.conversion import Mode, convert
+from repro.core.design import FlatTreeDesign
+from repro.core.flattree import FlatTree
 from repro.errors import RoutingError
 from repro.obs.sinks import MemorySink
+from repro.routing import ksp
 from repro.routing.ksp import (
     DEFAULT_K,
     build_ksp_table,
@@ -100,3 +108,58 @@ class TestStretch:
     def test_empty_rejected(self):
         with pytest.raises(RoutingError):
             path_stretch([])
+
+
+class TestLawlerRule:
+    """A path first queued by the spur search at index ``i`` of its
+    parent starts its own spur loop at ``i``."""
+
+    def test_spur_loop_starts_where_the_path_was_found(self, monkeypatch):
+        log = []
+        bfs = ksp._bidirectional_bfs
+
+        def spur(neighbors, s, *args):
+            log.append(("spur", s))
+            return bfs(neighbors, s, *args)
+
+        def push(queue, entry):
+            log.append(("push", entry))
+            heapq.heappush(queue, entry)
+
+        def pop(queue):
+            entry = heapq.heappop(queue)
+            log.append(("pop", entry))
+            return entry
+
+        monkeypatch.setattr(ksp, "_bidirectional_bfs", spur)
+        monkeypatch.setattr(ksp, "heappush", push)
+        monkeypatch.setattr(ksp, "heappop", pop)
+        net = convert(FlatTree(FlatTreeDesign.for_fat_tree(6)),
+                      Mode.GLOBAL_RANDOM)
+        ids = net.adjacency_index().ids
+        switches = sorted(net.switches(), key=repr)
+        rng = random.Random(3)
+        late_starts = 0
+        for _ in range(40):
+            src, dst = rng.sample(switches, 2)
+            log.clear()
+            paths = k_shortest_paths(net, src, dst, k=8)
+            first = tuple(ids[v] for v in paths[0].nodes)
+            assert log[0] == ("spur", first[0])
+            expected = deque(first[:-1])
+            found = None
+            for kind, item in log[1:]:
+                if kind == "spur":
+                    assert item == expected.popleft()
+                    found = item
+                elif kind == "push":
+                    _length, _order, i, path = item
+                    assert path[i - 1] == found
+                else:
+                    assert not expected
+                    _length, _order, i, path = item
+                    expected = deque(path[i - 1:-1])
+                    late_starts += i > 1
+            # No spur loop runs after the k-th path.
+            assert not expected or len(paths) == 8
+        assert late_starts > 0

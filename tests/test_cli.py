@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -432,3 +439,16 @@ class TestChaosCommand:
         assert lines
         for lineno, line in enumerate(lines, start=1):
             assert check_line(line, lineno) == [], line
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self):
+        """Only a solve, a max flow or a switch-distance call imports
+        scipy, so starting the CLI loads none of it."""
+        script = ("import sys, repro.cli; print(sorted(m for m in sys.modules"
+                  " if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"

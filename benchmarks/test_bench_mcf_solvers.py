@@ -2,10 +2,11 @@
 
 Times both solvers on the same Figure-7-style workload and checks that
 the approximation's certified throughput is a feasible lower bound on
-the LP optimum within 2ε of it.  The certificate itself promises only
-feasibility: on all-to-all traffic λ / OPT measures 0.805 at k=14
-(ε = 0.08) and 0.79–0.92 at k=6 (ε = 0.1).  This is the measurement
-behind DESIGN.md's solver dispatch threshold.
+the LP optimum within (1 - ε) of it.  The FPTAS stops once its feasible
+λ is within (1 - ε) of its own weak-duality upper bound, which holds
+here; on all-to-all traffic λ / OPT measures 0.946 at k=14 (ε = 0.08)
+and 0.925–0.990 at k=4–8 (ε = 0.1).  This is the measurement behind
+DESIGN.md's solver dispatch threshold.
 """
 
 from __future__ import annotations
@@ -76,5 +77,5 @@ def test_bench_solver_agreement(once):
     table.new_series("Garg-Konemann").add(BENCH_K, approx)
     show(table)
     assert approx <= exact + 1e-9
-    assert approx >= (1 - 2 * EPSILON) * exact
+    assert approx >= (1 - EPSILON) * exact
     assert exact == pytest.approx(approx, rel=2 * EPSILON)

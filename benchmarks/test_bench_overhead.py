@@ -20,10 +20,12 @@ records a baseline series next to an attached one:
   attached series is the monitor-only wall time plus that tax.
 
 The last two are gated at ``OVERHEAD_FRACTION`` of their baseline
-plus a ``JITTER_FLOOR_S`` absolute floor.  At the ~0.13-0.15 s
-baselines here the floor dominates: the gate admits about 12 %, not
-5 %, and each table's second note prints the measured overhead next
-to the bound actually in force, both as shares of that run's baseline.
+plus a ``JITTER_FLOOR_S`` absolute floor.  The monitor-only baselines
+here measure 50-92 ms (medians 65-73 ms; 2-vCPU Linux VM, Python
+3.11), so the floor dominates: the gate admits 16-25 % of the
+baseline, not 5 %.  Each table's second note prints the measured
+overhead next to the bound actually in force, both as shares of that
+run's baseline.
 """
 
 from __future__ import annotations

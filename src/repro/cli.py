@@ -200,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fct",
                        help="flow-level FCT per mode under ksp routing")
     p.add_argument("--ks", type=int, nargs="+", default=[4, 6])
-    p.add_argument("--flows", type=int, default=24)
+    p.add_argument("--flows", type=_at_least(1), default=24)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--monitor", action="store_true",
                    help="record link utilization across a mid-run "

@@ -18,6 +18,15 @@ Reported per (technology, fault rate):
   length versus the clean conversion, over trials whose degraded
   network stayed connected (disconnected trials are counted
   separately, not averaged in).
+
+Plant faults are drawn over ``max(2 × clean conversion time, 1 ms)``,
+so the window, and with it which faults land before or after the last
+batch, follows the clean schedule.  A change to the clean schedule's
+batch count therefore moves the path-length and unrecoverable-server
+columns with no change to heal or retry code: when the packet-chip
+clean conversion at k = 4 went from 8 to 4 batches, one rate-0.1
+trial's dead leg moved from after that conversion's finish to before
+it, and the point's path-length ratio went from 1.0000 to 0.9965.
 """
 
 from __future__ import annotations

@@ -6,22 +6,39 @@ traffic) on a laptop.  This module implements the classic multiplicative-
 weights FPTAS (Garg & Könemann 1998; Fleischer 2000):
 
 * every arc carries a length ``l(a)``, initialized to ``δ / cap(a)``;
-* in *phases*, each commodity routes its full demand along successive
-  shortest paths (by current lengths), bumping traversed arc lengths by
-  ``(1 + ε · sent / cap)``;
-* the process stops once ``D(l) = Σ l(a)·cap(a) ≥ 1``.
+* in *phases*, each commodity group routes its full demand along
+  successive shortest-path trees (by current lengths), bumping each
+  traversed arc's length by ``(1 + ε · sent / cap)``.  A tree's amounts
+  are scaled down so that no arc carries more than its capacity in one
+  tree, as in Fleischer's tree routing;
+* the textbook run ends once ``D(l) = Σ l(a)·cap(a) ≥ 1``.
 
-Rather than relying on the theoretical scaling constants, the solver
-returns a **certified feasible** throughput: the accumulated flow is
-scaled down by the worst arc overload, and λ is the minimum scaled
-rate over all commodities.  That certifies a feasible lower bound on
-the optimum and nothing more.  The (1 - ε) factor is the textbook
-guarantee of the unbatched algorithm; this solver bumps lengths once
-per shortest-path tree, and it does not hold here.  Measured against
-the exact LP, λ / OPT is 0.805 on a k=14 global-random flat-tree
-all-to-all instance at ε = 0.08 (the benchmark's ``fptas_a2a``), and
-0.79–0.92 on the Figure 8 weak-locality instances at k=6 with ε = 0.1
-(0.56–0.96 at k=4; ``tests/mcf/test_approx.py`` pins each ratio).
+The solver returns a **certified interval** ``λ_lo ≤ λ* ≤ λ_hi``:
+
+* ``λ_lo`` (``throughput``) is feasible: the accumulated flow is scaled
+  down by the worst arc overload, and λ is the minimum scaled rate over
+  all commodities.  It is the best such value seen at a phase end.
+* ``λ_hi`` (``upper_bound``) comes from weak duality: for any lengths
+  ``l ≥ 0``, ``λ* ≤ D(l) / α(l)`` with
+  ``α(l) = Σ_g Σ_t d_g(t) · dist_l(s_g, t)`` (:class:`DualBound`).
+
+The run stops at the first of: ``λ_lo ≥ (1 − ε)·λ_hi``, which proves the
+answer within (1 − ε) of λ*; ``D(l) ≥ 1``, the end the Garg–Könemann
+and Fleischer analysis covers; or the phase budget.  When it stops on
+either of the last two, the interval still states the accuracy proven.
+``λ_hi`` starts at the cut bounds of
+:func:`repro.mcf.maxflow.concurrent_upper_bound`.
+
+Measured: on the benchmark's ``fptas_a2a`` instance (k = 14
+global-random flat-tree, all-to-all, ε = 0.08) the run stops at phase
+4 after 16,292 trees, with λ_lo = 0.946·λ* and λ_hi = λ* (the cut
+bound is tight there); the textbook run took 93 phases and returned
+0.805·λ*.  At ε = 0.1 all twelve Figure 8 weak-locality instances at
+k = 4–8 stop on the gap rule, after 1–30 phases, with λ_lo/λ* between
+0.925 and 0.990 (``tests/mcf/test_approx.py`` pins the k = 4 and 6
+ratios).  Where the dual bound stays loose the run is longer than the
+textbook one: on a k = 16 Figure 8 flat-tree instance λ_hi stays about
+1.18·λ_lo, and the run ends at ``D(l) ≥ 1`` (docs/performance.md).
 
 Each Dijkstra tree costs a fixed number of numpy calls, however many
 sinks it serves: all live sinks climb the tree together, one level
@@ -40,6 +57,18 @@ from repro import obs
 from repro.errors import SolverError
 from repro.mcf.commodities import FlowProblem
 from repro.mcf.exact import MCFResult
+from repro.mcf.maxflow import concurrent_upper_bound
+
+#: Utilization thresholds τ of the dual bound's cut lengths: an arc is
+#: long where the accumulated flow's utilization reaches τ of its peak.
+#: On ``fptas_a2a`` and the twelve Figure 8 instances at k = 4–8, these
+#: three stop every run at the same phase as {0.6, 0.8, 0.9, 0.95};
+#: without 0.8, two runs stop a phase later, and with 0.9 alone, four.
+BOUND_THRESHOLDS = (0.8, 0.9, 0.95)
+
+#: Length of a short arc under a cut length function.  It is positive
+#: so that no explicit zero reaches csgraph.
+_SHORT_ARC = 1e-9
 
 
 def solve_concurrent_approx(
@@ -47,10 +76,12 @@ def solve_concurrent_approx(
     epsilon: float = 0.1,
     max_phases: Optional[int] = None,
 ) -> MCFResult:
-    """Approximate max concurrent flow; λ is certified feasible.
+    """Approximate max concurrent flow with a certified interval.
 
-    ``max_phases`` optionally caps the phase count (the certified result
-    stays feasible, just possibly further from optimal).
+    ``throughput`` is a feasible λ and ``upper_bound`` a proven bound
+    on the optimum; the run stops once they are within (1 - ε).
+    ``max_phases`` optionally caps the phase count (the interval stays
+    certified, just possibly wider).
     """
     if not 0 < epsilon < 1:
         raise SolverError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -62,25 +93,26 @@ def solve_concurrent_approx(
     lengths = delta / problem.arc_cap
     d_value = float((lengths * problem.arc_cap).sum())
     graph = _SlotGraph(problem, lengths)
+    bound = DualBound(problem)
     flow = np.zeros(num_arcs)  # per CSR slot, like graph.lengths
     routed: List[np.ndarray] = [
         np.zeros(len(g.sinks)) for g in problem.groups
     ]
 
+    lam_lo = 0.0
+    lam_hi = bound.cut_bound
     phases = 0
     trees = 0
     budget = max_phases if max_phases is not None else _phase_budget(epsilon, num_arcs)
     with obs.span("mcf.approx", groups=problem.num_groups, arcs=num_arcs), \
             obs.timer("mcf.approx.solve_s"):
-        while d_value < 1.0 and phases < budget:
+        while phases < budget:
             for g_index, group in enumerate(problem.groups):
                 remaining = group.demands.astype(np.float64)
-                # Route the whole group off shared shortest-path trees: one
-                # Dijkstra serves every sink still carrying demand.  Length
-                # bumps apply after each tree, not after each sink — a
-                # standard batching of Fleischer's inner loop; the result
-                # stays feasible because it is certified a posteriori.
-                for _round in range(len(group.sinks) + 1):
+                # A whole phase routes the group's whole demand.  One
+                # Dijkstra serves every sink still carrying demand, and
+                # length bumps apply after each tree, not after each sink.
+                while True:
                     live = (remaining > 1e-12).nonzero()[0]
                     if d_value >= 1.0 or not live.size:
                         break
@@ -90,29 +122,48 @@ def solve_concurrent_approx(
                     if tree is None:
                         # Unreachable sink: concurrent throughput is 0.
                         obs.incr("mcf.approx.unreachable_sinks")
-                        return MCFResult(throughput=0.0, method="approx-gk")
+                        return MCFResult(throughput=0.0, method="approx-gk",
+                                         upper_bound=0.0)
                     owner, nodes, parent = tree
                     slots = parent[nodes]
                     # Each sink sends min(remaining, path bottleneck).
                     amount = remaining[live]
                     np.minimum.at(amount, owner, graph.cap[slots])
-                    routed[g_index][live] += amount
-                    remaining[live] -= amount
                     # Pairs run sink-major, so every arc adds its sinks'
                     # amounts in sink order, as a per-sink loop would.
                     sent = amount[owner]
+                    load = np.bincount(nodes, sent, graph.num_nodes)
+                    heads = load.nonzero()[0]
+                    hit = parent[heads]
+                    # Cap the tree: no arc carries more than its capacity.
+                    sigma = float((load[heads] / graph.cap[hit]).max())
+                    if sigma > 1.0:
+                        amount /= sigma
+                        sent = amount[owner]
+                        load = np.bincount(nodes, sent, graph.num_nodes)
+                    routed[g_index][live] += amount
+                    remaining[live] -= amount
                     np.add.at(flow, slots, sent)
-                    d_value += graph.lengthen(
-                        parent, np.bincount(nodes, sent, graph.num_nodes),
-                        epsilon)
+                    d_value += graph.lengthen(hit, load[heads], epsilon)
             phases += 1
+            arc_flow = graph.to_arc_order(flow)
+            lam_lo = max(lam_lo, _certify(problem, arc_flow, routed))
+            lam_hi = min(lam_hi, bound(graph.to_arc_order(graph.lengths),
+                                       arc_flow))
+            if lam_lo >= (1 - epsilon) * lam_hi:
+                obs.incr("mcf.approx.gap_stops")
+                break
+            if d_value >= 1.0:
+                break
 
     obs.incr("mcf.approx.solves")
     obs.incr("mcf.approx.phases", phases)
     obs.incr("mcf.approx.dijkstra_calls", trees)
-    result = _certify(problem, graph.to_arc_order(flow), routed)
-    obs.set_gauge("mcf.approx.last_objective", result.throughput)
-    return result
+    obs.incr("mcf.approx.bound_searches", bound.searches)
+    obs.set_gauge("mcf.approx.last_objective", lam_lo)
+    obs.set_gauge("mcf.approx.last_upper_bound", lam_hi)
+    return MCFResult(throughput=lam_lo, method="approx-gk",
+                     upper_bound=lam_hi)
 
 
 def _phase_budget(epsilon: float, num_arcs: int) -> int:
@@ -122,7 +173,7 @@ def _phase_budget(epsilon: float, num_arcs: int) -> int:
 
 def _certify(
     problem: FlowProblem, flow: np.ndarray, routed: List[np.ndarray]
-) -> MCFResult:
+) -> float:
     """Scale accumulated flow to feasibility and report the worst rate."""
     with np.errstate(divide="ignore", invalid="ignore"):
         overload = np.where(flow > 0, flow / problem.arc_cap, 0.0)
@@ -134,14 +185,87 @@ def _certify(
         lam = min(lam, float(rates.min()))
     if not math.isfinite(lam):
         raise SolverError("approximation produced no routed flow")
-    return MCFResult(throughput=lam, method="approx-gk")
+    return lam
+
+
+def _slot_matrix(problem: FlowProblem, weights: np.ndarray):
+    """The arcs as a CSR matrix of ``weights``, and each slot's arc.
+
+    A CSR slot is an arc's position in the matrix, sorted by (tail,
+    head); ``slot_arc[j]`` is the problem's arc at slot ``j``.
+    """
+    import scipy.sparse as sp
+
+    n = problem.num_nodes
+    slot_arc = np.lexsort((problem.arc_dst, problem.arc_src))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(problem.arc_src, minlength=n), out=indptr[1:])
+    matrix = sp.csr_matrix(
+        (weights[slot_arc], problem.arc_dst[slot_arc].astype(np.int32),
+         indptr),
+        shape=(n, n),
+    )
+    return matrix, slot_arc
+
+
+class DualBound:
+    """Weak-duality upper bounds on the concurrent throughput λ*.
+
+    For any arc lengths ``l ≥ 0``, a flow at rate λ sends each unit of
+    demand ``d_g(t)`` along paths at least ``dist_l(s_g, t)`` long, so
+    ``λ · α(l) ≤ Σ_a f(a)·l(a) ≤ D(l)`` with
+    ``α(l) = Σ_g Σ_t d_g(t) · dist_l(s_g, t)`` and
+    ``D(l) = Σ_a cap(a)·l(a)``.  With unit lengths this is the
+    path-length bound of Singla et al. (PAPERS.md).
+
+    A call evaluates ``D(l) / α(l)`` for the lengths it is given and for
+    one cut length function per :data:`BOUND_THRESHOLDS` entry, and
+    returns the smallest.  Each evaluation is one multi-source Dijkstra
+    from every group's source; :attr:`searches` counts the trees.
+    Lengths and flows are in the problem's arc order, so every caller
+    that passes the same arrays gets the same bound, to the bit.
+    """
+
+    def __init__(self, problem: FlowProblem) -> None:
+        from scipy.sparse.csgraph import dijkstra
+
+        self._dijkstra = dijkstra
+        self._cap = problem.arc_cap
+        self._matrix, self._order = _slot_matrix(problem, problem.arc_cap)
+        groups = problem.groups
+        self._sources = np.array([g.source for g in groups])
+        self._rows = np.repeat(np.arange(len(groups)),
+                               [len(g.sinks) for g in groups])
+        self._sinks = np.concatenate([g.sinks for g in groups])
+        self._demands = np.concatenate([g.demands for g in groups])
+        #: The cut bounds of :func:`concurrent_upper_bound`, free of lengths.
+        self.cut_bound = concurrent_upper_bound(problem)
+        self.searches = 0
+
+    def __call__(self, lengths: np.ndarray, flow: np.ndarray) -> float:
+        """Smallest bound over ``lengths`` and the cut lengths of ``flow``."""
+        best = self._ratio(lengths)
+        utilization = flow / self._cap
+        peak = float(utilization.max())
+        for tau in BOUND_THRESHOLDS:
+            cut = np.where(utilization >= tau * peak, 1.0, _SHORT_ARC)
+            best = min(best, self._ratio(cut))
+        return best
+
+    def _ratio(self, lengths: np.ndarray) -> float:
+        """``D(l) / α(l)`` for one length function."""
+        self._matrix.data[:] = lengths[self._order]
+        dist = self._dijkstra(self._matrix, directed=True,
+                              indices=self._sources)
+        self.searches += len(self._sources)
+        alpha = float((dist[self._rows, self._sinks] * self._demands).sum())
+        return float((lengths * self._cap).sum()) / alpha
 
 
 class _SlotGraph:
     """The arc graph in CSR slot order, with the lengths as its weights.
 
-    A CSR slot is an arc's position in the matrix, sorted by (tail,
-    head).  The matrix's ``data`` *is* the length array, so a length
+    The matrix's ``data`` *is* the length array, so a length
     bump is visible to the next :func:`scipy.sparse.csgraph.dijkstra`
     without copying anything.  Every per-arc array here is in slot
     order, and ``slot_arc`` maps a slot back to the problem's arc.
@@ -152,20 +276,13 @@ class _SlotGraph:
     """
 
     def __init__(self, problem: FlowProblem, lengths: np.ndarray) -> None:
-        import scipy.sparse as sp
         from scipy.sparse.csgraph import dijkstra
 
         self._dijkstra = dijkstra
         n = self.num_nodes = problem.num_nodes
-        self.slot_arc = np.lexsort((problem.arc_dst, problem.arc_src))
+        self._matrix, self.slot_arc = _slot_matrix(problem, lengths)
         tails = problem.arc_src[self.slot_arc]
         heads = problem.arc_dst[self.slot_arc]
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
-        self._matrix = sp.csr_matrix(
-            (lengths[self.slot_arc], heads.astype(np.int32), indptr),
-            shape=(n, n),
-        )
         self.lengths: np.ndarray = self._matrix.data
         self.cap = problem.arc_cap[self.slot_arc]
         # Sorted (tail, head) keys: the slot of arc u->v is where
@@ -174,7 +291,7 @@ class _SlotGraph:
         self._slot_key = tails * self._width + heads
         if (np.diff(self._slot_key) == 0).any():
             raise SolverError("parallel arcs must fold into one capacity")
-        self._nodes = np.arange(n, dtype=np.int64)
+        self._parent = np.zeros(n, dtype=np.intp)
 
     def shortest_path_tree(
         self, source: int, sinks: np.ndarray
@@ -184,16 +301,15 @@ class _SlotGraph:
         Returns ``(owner, nodes, parent)``.  Pair ``j`` says tree node
         ``nodes[j]`` lies on the path to ``sinks[owner[j]]``; the pairs
         run sink-major, each path from its sink up to (not including)
-        the source.  ``parent[v]`` is the slot of node ``v``'s tree arc.
-        None when a sink is unreachable.
+        the source.  ``parent[v]`` is the slot of node ``v``'s tree arc,
+        set only for the nodes on the sinks' paths.  None when a sink
+        is unreachable.
         """
         _, pred = self._dijkstra(self._matrix, directed=True,
                                  indices=source, return_predecessors=True)
         step = pred[sinks]
         if step.min() < 0:
             return None
-        parent = np.searchsorted(self._slot_key,
-                                 pred * self._width + self._nodes)
         # Every sink climbs one tree level per step; a sink that has
         # reached the source stays there.
         pred[source] = source
@@ -204,23 +320,25 @@ class _SlotGraph:
         walk = np.array(levels).T.ravel()
         below = walk != source
         owner = below.nonzero()[0] // len(levels)
-        return owner, walk[below], parent
+        nodes = walk[below]
+        parent = self._parent
+        parent[nodes] = np.searchsorted(self._slot_key,
+                                        pred[nodes] * self._width + nodes)
+        return owner, nodes, parent
 
     def lengthen(
-        self, parent: np.ndarray, bumped: np.ndarray, epsilon: float
+        self, hit: np.ndarray, sent: np.ndarray, epsilon: float
     ) -> float:
         """Bump the lengths of one tree's arcs; returns the growth of D(l).
 
-        ``bumped[v]`` is the flow the tree sent into node ``v``, i.e.
-        over arc ``parent[v]``.  Arcs the tree did not use keep their
-        lengths exactly (a bump of 1.0), so only used slots are touched.
-        The growth is summed over an array in the problem's arc order,
-        because a float sum's rounding depends on its order.
+        ``sent[j]`` is the flow the tree sent over slot ``hit[j]``.
+        Arcs the tree did not use keep their lengths exactly (a bump of
+        1.0), so only used slots are touched.  The growth is summed over
+        an array in the problem's arc order, because a float sum's
+        rounding depends on its order.
         """
-        heads = bumped.nonzero()[0]
-        hit = parent[heads]
         cap = self.cap[hit]
-        bump = 1.0 + epsilon * bumped[heads] / cap
+        bump = 1.0 + epsilon * sent / cap
         lengths = self.lengths[hit]
         growth = np.zeros(self.lengths.size)
         growth[self.slot_arc[hit]] = lengths * (bump - 1.0) * cap

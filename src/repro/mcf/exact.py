@@ -73,13 +73,16 @@ def linprog(*args, **kwargs):
 class MCFResult:
     """Outcome of a concurrent-flow solve.
 
-    ``throughput`` is the optimal ``λ`` (rate per unit demand).
-    ``flows`` (optional) has shape ``(num_groups, num_arcs)``.
+    ``throughput`` is the optimal ``λ`` (rate per unit demand), or a
+    feasible λ from an approximate solver.  ``flows`` (optional) has
+    shape ``(num_groups, num_arcs)``.  ``upper_bound`` is a proven upper
+    bound on the optimum: λ itself for the exact LP.
     """
 
     throughput: float
     method: str
     flows: Optional[np.ndarray] = None
+    upper_bound: Optional[float] = None
 
     def utilization(self, problem: FlowProblem) -> np.ndarray:
         """Per-arc utilization of the solution (requires flows)."""
@@ -187,4 +190,5 @@ def solve_concurrent_exact(
     flows = None
     if return_flows:
         flows = result.x[:lam_col].reshape(num_groups, num_arcs)
-    return MCFResult(throughput=throughput, method="exact-lp", flows=flows)
+    return MCFResult(throughput=throughput, method="exact-lp", flows=flows,
+                     upper_bound=throughput)

@@ -3,9 +3,10 @@
 The straightforward form of the algorithm ``repro.mcf.approx``
 vectorizes: every sink walks its own path up the Dijkstra tree in
 Python, and the arc lengths are scattered into the CSR matrix before
-every tree.  ``test_approx_oracle.py`` checks that the vectorized solver
-returns exactly the same λ, phase count and tree count on every
-instance it draws.
+every tree.  Only the upper bound's evaluation, ``DualBound``, is
+shared with the solver.  ``test_approx_oracle.py`` checks that the
+vectorized solver returns exactly the same λ, upper bound, phase count
+and tree count on every instance it draws.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import SolverError
+from repro.mcf.approx import DualBound
 from repro.mcf.commodities import FlowProblem
 from repro.mcf.exact import MCFResult
 
@@ -26,10 +28,10 @@ def solve_concurrent_approx_oracle(
     epsilon: float = 0.1,
     max_phases: Optional[int] = None,
 ) -> MCFResult:
-    """Approximate max concurrent flow within a (1 - ε) factor.
+    """Approximate max concurrent flow with a certified interval.
 
-    ``max_phases`` optionally caps the phase count (the certified result
-    stays feasible, just possibly further from optimal).
+    ``max_phases`` optionally caps the phase count (the interval stays
+    certified, just possibly wider).
     """
     if not 0 < epsilon < 1:
         raise SolverError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -46,26 +48,29 @@ def solve_concurrent_approx_oracle(
     ]
 
     graph = _AdjacencyView(problem)
+    bound = DualBound(problem)
     d_value = float((lengths * cap).sum())
+    lam_lo = 0.0
+    lam_hi = bound.cut_bound
     phases = 0
     trees = 0
     budget = max_phases if max_phases is not None else _phase_budget(epsilon, num_arcs)
     with obs.span("mcf.approx", groups=problem.num_groups, arcs=num_arcs), \
             obs.timer("mcf.approx.solve_s"):
-        while d_value < 1.0 and phases < budget:
+        while phases < budget:
             for g_index, group in enumerate(problem.groups):
                 remaining = group.demands.astype(np.float64).copy()
-                # Route the whole group off shared shortest-path trees: one
-                # Dijkstra serves every sink still carrying demand.  Length
-                # bumps apply after each tree, not after each sink — a
-                # standard batching of Fleischer's inner loop; the result
-                # stays exact because feasibility is certified a posteriori.
-                for _round in range(len(group.sinks) + 1):
+                # A whole phase routes the group's whole demand, one
+                # shortest-path tree at a time; lengths grow after each
+                # tree, not after each sink.
+                while True:
                     if d_value >= 1.0 or not (remaining > 1e-12).any():
                         break
                     tree = graph.shortest_path_tree(lengths, group.source)
                     trees += 1
-                    bump_amount = np.zeros(num_arcs)
+                    # Each live sink takes min(remaining, bottleneck).
+                    paths = []
+                    load = np.zeros(num_arcs)
                     for sink_pos, sink in enumerate(group.sinks):
                         if remaining[sink_pos] <= 1e-12:
                             continue
@@ -74,9 +79,18 @@ def solve_concurrent_approx_oracle(
                             # Unreachable sink: concurrent throughput is 0.
                             obs.incr("mcf.approx.unreachable_sinks")
                             return MCFResult(throughput=0.0,
-                                             method="approx-gk")
+                                             method="approx-gk",
+                                             upper_bound=0.0)
                         bottleneck = float(cap[path_arcs].min())
                         amount = min(float(remaining[sink_pos]), bottleneck)
+                        load[path_arcs] += amount
+                        paths.append((sink_pos, path_arcs, amount))
+                    # Scale the tree so that no arc exceeds its capacity.
+                    sigma = float((load / cap).max())
+                    bump_amount = np.zeros(num_arcs)
+                    for sink_pos, path_arcs, amount in paths:
+                        if sigma > 1.0:
+                            amount /= sigma
                         flow[path_arcs] += amount
                         bump_amount[path_arcs] += amount
                         routed[g_index][sink_pos] += amount
@@ -85,13 +99,22 @@ def solve_concurrent_approx_oracle(
                     d_value += float((lengths * (bump - 1.0) * cap).sum())
                     lengths *= bump
             phases += 1
+            lam_lo = max(lam_lo, _certify(problem, flow, routed))
+            lam_hi = min(lam_hi, bound(lengths, flow))
+            if lam_lo >= (1 - epsilon) * lam_hi:
+                obs.incr("mcf.approx.gap_stops")
+                break
+            if d_value >= 1.0:
+                break
 
     obs.incr("mcf.approx.solves")
     obs.incr("mcf.approx.phases", phases)
     obs.incr("mcf.approx.dijkstra_calls", trees)
-    result = _certify(problem, flow, routed)
-    obs.set_gauge("mcf.approx.last_objective", result.throughput)
-    return result
+    obs.incr("mcf.approx.bound_searches", bound.searches)
+    obs.set_gauge("mcf.approx.last_objective", lam_lo)
+    obs.set_gauge("mcf.approx.last_upper_bound", lam_hi)
+    return MCFResult(throughput=lam_lo, method="approx-gk",
+                     upper_bound=lam_hi)
 
 
 def _phase_budget(epsilon: float, num_arcs: int) -> int:
@@ -101,7 +124,7 @@ def _phase_budget(epsilon: float, num_arcs: int) -> int:
 
 def _certify(
     problem: FlowProblem, flow: np.ndarray, routed: List[np.ndarray]
-) -> MCFResult:
+) -> float:
     """Scale accumulated flow to feasibility and report the worst rate."""
     with np.errstate(divide="ignore", invalid="ignore"):
         overload = np.where(flow > 0, flow / problem.arc_cap, 0.0)
@@ -113,7 +136,7 @@ def _certify(
         lam = min(lam, float(rates.min()))
     if not math.isfinite(lam):
         raise SolverError("approximation produced no routed flow")
-    return MCFResult(throughput=lam, method="approx-gk")
+    return lam
 
 
 class _AdjacencyView:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from instances import TOPOLOGIES, counted, random_problem
 from repro.core.conversion import Mode
 from repro.errors import SolverError
 from repro.experiments.common import (
@@ -53,7 +54,8 @@ class TestBasics:
         net.add_server(0, a)
         net.add_server(1, c)
         problem = build_flow_problem(net, [Commodity(0, 1)])
-        assert solve_concurrent_approx(problem).throughput == 0.0
+        result = solve_concurrent_approx(problem)
+        assert (result.throughput, result.upper_bound) == (0.0, 0.0)
 
     def test_max_phases_caps_work(self, triangle):
         problem = build_flow_problem(triangle, [Commodity(0, 1)])
@@ -98,17 +100,17 @@ class TestAgainstExact:
         assert approx >= 0.9 * exact
 
     #: λ_approx / λ_exact at ε = 0.1 on the Figure 8 weak-locality
-    #: all-to-all workload (seed 0), per topology and k.  Tree-batched
-    #: bumps leave λ a feasible lower bound, not within (1 - ε) of OPT.
+    #: all-to-all workload (seed 0), per topology and k.  Every run stops
+    #: on the gap rule, so each ratio is at least 1 - ε.
     FIG8_RATIOS = {
-        ("fat-tree", 4): 0.5568445475638051,
-        ("flat-tree", 4): 0.9480249480249481,
-        ("two-stage", 4): 0.926829268292683,
-        ("random graph", 4): 0.9594882729211086,
-        ("fat-tree", 6): 0.8808808808808809,
-        ("flat-tree", 6): 0.7881205673758862,
-        ("two-stage", 6): 0.9170861711578324,
-        ("random graph", 6): 0.8017492711370262,
+        ("fat-tree", 4): 0.9876543209876555,
+        ("flat-tree", 4): 0.9249286806694681,
+        ("two-stage", 4): 0.9490529341060169,
+        ("random graph", 4): 0.9849194144922416,
+        ("fat-tree", 6): 0.9836598650516216,
+        ("flat-tree", 6): 0.9513194413059275,
+        ("two-stage", 6): 0.9899754314889813,
+        ("random graph", 6): 0.9486293759312099,
     }
 
     @pytest.mark.parametrize("topology,k", sorted(FIG8_RATIOS))
@@ -124,14 +126,75 @@ class TestAgainstExact:
         exact = solve_concurrent_exact(problem).throughput
         approx = solve_concurrent_approx(problem, epsilon=0.1).throughput
         assert approx <= exact * (1 + 1e-9)
+        assert approx >= (1 - 0.1) * exact
         assert approx / exact == pytest.approx(
             self.FIG8_RATIOS[(topology, k)], rel=1e-9)
+
+
+class TestInterval:
+    COUNTERS = ("mcf.approx.phases", "mcf.approx.dijkstra_calls",
+                "mcf.approx.gap_stops")
+
+    @settings(max_examples=25)
+    @given(
+        kind=st.sampled_from(TOPOLOGIES),
+        k=st.sampled_from((4, 6)),
+        seed=st.integers(min_value=0, max_value=10_000),
+        pairs=st.integers(min_value=1, max_value=16),
+        fractional=st.booleans(),
+        wide_caps=st.booleans(),
+        epsilon=st.sampled_from((0.05, 0.1, 0.2)),
+    )
+    def test_property_interval_brackets_exact(self, kind, k, seed, pairs,
+                                              fractional, wide_caps,
+                                              epsilon):
+        """λ_lo ≤ λ* ≤ λ_hi, and a gap stop comes at the first phase
+        whose interval is within (1 - ε).  The 1e-9 slack covers the
+        exact LP's tolerance: λ_hi often equals λ*."""
+        problem = random_problem(kind, k, seed, pairs, fractional, wide_caps)
+        exact = solve_concurrent_exact(problem)
+        assert exact.upper_bound == exact.throughput
+        lam = exact.throughput
+        result, moved = counted(solve_concurrent_approx, problem,
+                                self.COUNTERS, epsilon=epsilon)
+        assert 0 < result.throughput <= lam * (1 + 1e-9)
+        assert lam <= result.upper_bound * (1 + 1e-9)
+        if not moved["mcf.approx.gap_stops"]:
+            return
+        assert result.throughput >= (1 - epsilon) * result.upper_bound
+        phases = int(moved["mcf.approx.phases"])
+        if phases > 1:
+            early, early_moved = counted(
+                solve_concurrent_approx, problem, self.COUNTERS,
+                epsilon=epsilon, max_phases=phases - 1)
+            assert not early_moved["mcf.approx.gap_stops"]
+            assert early.throughput < (1 - epsilon) * early.upper_bound
+
+    def test_capped_trees_route_whole_demand_in_one_phase(self):
+        """Both sinks share the source's only arc, so every tree sends
+        twice that arc's capacity and is scaled by 1/2: each sink's
+        demand of 5 takes ten trees, all in the first phase."""
+        problem = FlowProblem(
+            num_nodes=3,
+            arc_src=np.array([0, 1, 1, 2], dtype=np.int32),
+            arc_dst=np.array([1, 0, 2, 1], dtype=np.int32),
+            arc_cap=np.ones(4),
+            groups=[DemandGroup(0, np.array([1, 2], dtype=np.int32),
+                                np.array([5.0, 5.0]))],
+        )
+        result, moved = counted(solve_concurrent_approx, problem,
+                                self.COUNTERS, epsilon=0.1)
+        assert moved == {"mcf.approx.phases": 1,
+                         "mcf.approx.dijkstra_calls": 10,
+                         "mcf.approx.gap_stops": 1}
+        assert result.throughput == pytest.approx(0.1, rel=1e-12)
+        assert result.upper_bound == pytest.approx(0.1, rel=1e-12)
 
 
 @settings(max_examples=10)
 @given(st.integers(min_value=0, max_value=30))
 def test_property_approx_feasible_and_tight(seed):
-    """Certified λ never exceeds the LP optimum; within 15% of it here."""
+    """Certified λ never exceeds the LP optimum; within ε of it here."""
     rng = random.Random(seed)
     net = build_jellyfish_like_fat_tree(4, rng)
     servers = sorted(net.servers())
@@ -146,4 +209,4 @@ def test_property_approx_feasible_and_tight(seed):
     exact = solve_concurrent_exact(problem).throughput
     approx = solve_concurrent_approx(problem, epsilon=0.1).throughput
     assert approx <= exact + 1e-9
-    assert approx >= 0.85 * exact
+    assert approx >= (1 - 0.1) * exact

@@ -2,7 +2,8 @@
 
 In ``gk_oracle.solve_concurrent_approx_oracle`` every sink walks its
 own path in Python.  The vectorized solver must reproduce its float
-accumulation exactly.  λ is compared with ``==``, and the
+accumulation exactly.  λ, its upper bound, and every phase's arc
+lengths and flows are compared with ``==``, and the
 ``mcf.approx.phases`` and ``mcf.approx.dijkstra_calls`` counters must
 move by the same amounts.  The instances use fractional demands and
 capacities above 1, where a different summation order would show in
@@ -12,7 +13,6 @@ the last bits.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -20,72 +20,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gk_oracle import solve_concurrent_approx_oracle
-from repro import obs
-from repro.core.conversion import Mode, convert
-from repro.core.design import FlatTreeDesign
-from repro.core.flattree import FlatTree
-from repro.mcf.approx import solve_concurrent_approx
+from instances import TOPOLOGIES, counted, network, random_problem
+from repro.mcf.approx import DualBound, solve_concurrent_approx
 from repro.mcf.commodities import (
     Commodity,
     DemandGroup,
     FlowProblem,
     build_flow_problem,
 )
-from repro.topology.elements import Network
-from repro.topology.fattree import build_fat_tree
-from repro.topology.jellyfish import build_jellyfish_like_fat_tree
 
 COUNTERS = ("mcf.approx.phases", "mcf.approx.dijkstra_calls")
-TOPOLOGIES = ("fat-tree", "jellyfish",
-              *(f"flat-tree {mode.value}" for mode in Mode))
-
-
-@lru_cache(maxsize=None)
-def network(kind: str, k: int) -> Network:
-    if kind == "fat-tree":
-        return build_fat_tree(k)
-    if kind == "jellyfish":
-        return build_jellyfish_like_fat_tree(k, random.Random(k))
-    mode = Mode(kind.split(" ", 1)[1])
-    return convert(FlatTree(FlatTreeDesign.for_fat_tree(k)), mode)
 
 
 def solve_both(problem: FlowProblem, **kwargs) -> Tuple[tuple, tuple]:
-    """(λ, phase delta, tree delta) of the solver and of the oracle."""
+    """(λ, upper bound, phase delta, tree delta, phase ends) of solver
+    and oracle.  A phase end is the bytes of the arc lengths and flows
+    the solver hands to ``DualBound`` after a phase, so a difference in
+    the last bit of any length counts even where λ does not show it."""
+    bound_call = DualBound.__call__
     out = []
-    obs.disable()
-    obs.registry.reset()
-    obs.enable()
-    try:
-        for solver in (solve_concurrent_approx,
-                       solve_concurrent_approx_oracle):
-            before = [obs.registry.counter(name).value for name in COUNTERS]
-            lam = solver(problem, **kwargs).throughput
-            after = [obs.registry.counter(name).value for name in COUNTERS]
-            out.append((lam, *(b - a for a, b in zip(before, after))))
-    finally:
-        obs.disable()
-        obs.registry.reset()
+    for solver in (solve_concurrent_approx, solve_concurrent_approx_oracle):
+        ends = []
+
+        def record(bound, lengths, flow):
+            ends.append((lengths.tobytes(), flow.tobytes()))
+            return bound_call(bound, lengths, flow)
+
+        DualBound.__call__ = record
+        try:
+            result, moved = counted(solver, problem, COUNTERS, **kwargs)
+        finally:
+            DualBound.__call__ = bound_call
+        out.append((result.throughput, result.upper_bound,
+                    *(moved[name] for name in COUNTERS), tuple(ends)))
     return out[0], out[1]
-
-
-def random_problem(kind: str, k: int, seed: int, pairs: int,
-                   fractional: bool, wide_caps: bool) -> FlowProblem:
-    rng = random.Random(seed)
-    net = network(kind, k)
-    servers = sorted(net.servers())
-    commodities = []
-    while len(commodities) < pairs:
-        a, b = rng.sample(servers, 2)
-        if net.server_switch(a) != net.server_switch(b):
-            demand = rng.uniform(0.1, 3.0) if fractional else 1.0
-            commodities.append(Commodity(a, b, demand))
-    problem = build_flow_problem(net, commodities)
-    if wide_caps:
-        scale = np.array([rng.uniform(1.0, 4.0)
-                          for _ in range(problem.num_arcs)])
-        problem.arc_cap = problem.arc_cap * scale
-    return problem
 
 
 @settings(max_examples=25)
@@ -120,14 +88,14 @@ def test_fractional_all_to_all_matches_oracle():
         [rng.uniform(1.0, 3.0) for _ in range(problem.num_arcs)])
     new, old = solve_both(problem, epsilon=0.1)
     assert new == old
-    assert new[1] > 1 and new[2] > problem.num_groups
+    assert new[2] > 1 and new[3] > problem.num_groups
 
 
 def test_single_phase_matches_oracle():
     problem = random_problem("fat-tree", 4, 3, 16, True, True)
     new, old = solve_both(problem, epsilon=0.1, max_phases=1)
     assert new == old
-    assert new[1] == 1
+    assert new[2] == 1
 
 
 def test_unreachable_sink_gives_zero_like_oracle():
@@ -146,4 +114,4 @@ def test_unreachable_sink_gives_zero_like_oracle():
     )
     new, old = solve_both(problem, epsilon=0.1)
     assert new == old
-    assert new == (0.0, 0.0, 0.0)
+    assert new == (0.0, 0.0, 0.0, 0.0, ())

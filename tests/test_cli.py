@@ -238,9 +238,14 @@ class TestUsage:
          "argument --flows: must be >= 1"),
         (["fct", "--ks", "4", "--flows", "1", "--monitor"],
          "fct: monitored FCT needs at least 2 flows"),
+        (["fct", "--ks", "4", "--flows", "0"],
+         "argument --flows: must be >= 1"),
+        (["fct", "--ks", "4", "--flows", "-1"],
+         "argument --flows: must be >= 1"),
     ], ids=["schedule-max-batch", "chaos-max-batch", "chaos-trials",
             "degradation-draws", "monitor-retention", "monitor-interval",
-            "downscale-flows", "fct-monitor-flows"])
+            "downscale-flows", "fct-monitor-flows", "fct-flows-zero",
+            "fct-flows-negative"])
     def test_out_of_range_number_exits_two(self, capsys, argv, message):
         """Each of these ended in a traceback (exit 1)."""
         try:

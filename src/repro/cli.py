@@ -96,6 +96,18 @@ def _at_least(minimum, kind=int):
     return parse
 
 
+def _even_k(text: str) -> int:
+    """argparse ``type=`` for a fat-tree parameter: an even k >= 4."""
+    value = int(text)
+    if value < 4 or value % 2:
+        raise argparse.ArgumentTypeError(
+            f"must be an even k >= 4, got {value}")
+    return value
+
+
+_even_k.__name__ = "int"  # argparse names the type in its messages
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flattree",
@@ -124,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("fig8", run_fig8, "all-to-all throughput"),
     ):
         p = sub.add_parser(name, help=note)
-        p.add_argument("--ks", type=int, nargs="+", default=None,
+        p.add_argument("--ks", type=_even_k, nargs="+", default=None,
                        help="fat-tree parameters to sweep")
         p.add_argument("--seed", type=int, default=0)
         if name in ("fig7", "fig8"):
@@ -133,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=_figure_handler(runner, name))
 
     p = sub.add_parser("hybrid", help="section 3.4 zone-isolation study")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_even_k, default=None)
     p.add_argument("--fractions", type=float, nargs="+",
                    default=list(DEFAULT_FRACTIONS))
     p.add_argument("--seed", type=int, default=0)
@@ -141,28 +153,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_hybrid_handler)
 
     p = sub.add_parser("profile", help="(m, n) profiling sweep (section 2.4)")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_even_k, required=True)
     p.set_defaults(handler=_profile_handler)
 
     p = sub.add_parser("convert", help="convert a flat-tree and summarize")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_even_k, required=True)
     p.add_argument("--mode", choices=[m.value for m in Mode],
                    default=Mode.GLOBAL_RANDOM.value)
     p.set_defaults(handler=_convert_handler)
 
     p = sub.add_parser("compare",
                        help="side-by-side report of all topologies at one k")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_even_k, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_compare_handler)
 
     p = sub.add_parser("cost", help="section 2.7 bill of materials")
-    p.add_argument("--ks", type=int, nargs="+", default=[8, 16, 24])
+    p.add_argument("--ks", type=_even_k, nargs="+", default=[8, 16, 24])
     p.set_defaults(handler=_cost_handler)
 
     p = sub.add_parser("schedule",
                        help="conversion timing per switching technology")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_even_k, required=True)
     p.add_argument("--mode", choices=[m.value for m in Mode],
                    default=Mode.GLOBAL_RANDOM.value)
     p.add_argument("--technology", choices=("mems", "mzi", "packet"),
@@ -171,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_schedule_handler)
 
     p = sub.add_parser("export", help="dump a topology (dot/json/edges)")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_even_k, required=True)
     p.add_argument("--mode", choices=[m.value for m in Mode],
                    default=Mode.CLOS.value)
     p.add_argument("--format", choices=("dot", "json", "edges"),
@@ -182,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degradation",
                        help="throughput under random link failures")
-    p.add_argument("--k", type=int, default=8)
+    p.add_argument("--k", type=_even_k, default=8)
     p.add_argument("--fractions", type=float, nargs="+",
                    default=[0.0, 0.05, 0.1, 0.2])
     p.add_argument("--draws", type=_at_least(1), default=3)
@@ -199,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fct",
                        help="flow-level FCT per mode under ksp routing")
-    p.add_argument("--ks", type=int, nargs="+", default=[4, 6])
+    p.add_argument("--ks", type=_even_k, nargs="+", default=[4, 6])
     p.add_argument("--flows", type=_at_least(1), default=24)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--monitor", action="store_true",
@@ -212,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("monitor",
                        help="run a traffic pattern under the network "
                             "monitor; print heatmap + hotspot report")
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=_even_k, default=4)
     p.add_argument("--mode", choices=[m.value for m in Mode],
                    default=Mode.CLOS.value)
     p.add_argument("--pattern", choices=("alltoall", "hotspot"),
@@ -232,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chaos",
                        help="fault-injection sweep: conversion resilience "
                             "per fault rate and technology")
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=_even_k, default=4)
     p.add_argument("--rates", type=float, nargs="+",
                    default=[0.0, 0.05, 0.1, 0.2])
     p.add_argument("--technologies", nargs="+",
@@ -245,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("downscale",
                        help="sleep core switches under a throughput floor")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_even_k, required=True)
     p.add_argument("--floor", type=float, default=0.5)
     p.add_argument("--flows", type=_at_least(1), default=8,
                    help="random idle flows to protect")
@@ -291,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--soak", action="store_true",
                    help="run the flowsim soak: a mid-run leg failure and "
                         "the loop's repair land as TopologyEvents")
-    p.add_argument("--k", type=int, default=4,
+    p.add_argument("--k", type=_even_k, default=4,
                    help="fat-tree parameter for --regret/--soak")
     p.add_argument("--seed", type=int, default=7,
                    help="storm/workload seed for --regret/--soak")

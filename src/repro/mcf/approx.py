@@ -15,9 +15,14 @@ weights FPTAS (Garg & Könemann 1998; Fleischer 2000):
 
 The solver returns a **certified interval** ``λ_lo ≤ λ* ≤ λ_hi``:
 
-* ``λ_lo`` (``throughput``) is feasible: the accumulated flow is scaled
-  down by the worst arc overload, and λ is the minimum scaled rate over
-  all commodities.  It is the best such value seen at a phase end.
+* ``λ_lo`` (``throughput``) is feasible.  Two flows are certified at
+  every phase end: the accumulated flow, scaled down by its worst arc
+  overload, and a convex mix of the whole phases (:class:`PhaseMix`),
+  scaled to its worst arc utilization.  A whole phase routes every
+  demand once, and after each one the mix moves toward it by the step
+  that minimizes the mix's worst utilization, so no phase's hottest
+  arcs cap the answer for good.  λ is the minimum scaled rate over all
+  commodities, and ``λ_lo`` the best such value seen at a phase end.
 * ``λ_hi`` (``upper_bound``) comes from weak duality: for any lengths
   ``l ≥ 0``, ``λ* ≤ D(l) / α(l)`` with
   ``α(l) = Σ_g Σ_t d_g(t) · dist_l(s_g, t)`` (:class:`DualBound`).
@@ -31,14 +36,16 @@ either of the last two, the interval still states the accuracy proven.
 
 Measured: on the benchmark's ``fptas_a2a`` instance (k = 14
 global-random flat-tree, all-to-all, ε = 0.08) the run stops at phase
-4 after 16,292 trees, with λ_lo = 0.946·λ* and λ_hi = λ* (the cut
-bound is tight there); the textbook run took 93 phases and returned
-0.805·λ*.  At ε = 0.1 all twelve Figure 8 weak-locality instances at
-k = 4–8 stop on the gap rule, after 1–30 phases, with λ_lo/λ* between
-0.925 and 0.990 (``tests/mcf/test_approx.py`` pins the k = 4 and 6
-ratios).  Where the dual bound stays loose the run is longer than the
-textbook one: on a k = 16 Figure 8 flat-tree instance λ_hi stays about
-1.18·λ_lo, and the run ends at ``D(l) ≥ 1`` (docs/performance.md).
+2 after 8,104 trees, with λ_lo = 0.927·λ* from the mix and λ_hi = λ*
+(the cut bound is tight there); the accumulated flow alone needs 4
+phases and 16,292 trees, and the textbook run took 93 phases and
+returned 0.805·λ*.  At ε = 0.1 all twelve Figure 8 weak-locality
+instances at k = 4–8 stop on the gap rule, after 1–30 phases, with
+λ_lo/λ* between 0.925 and 0.992 (``tests/mcf/test_approx.py`` pins the
+k = 4 and 6 ratios).  Where the dual bound stays loose the run is
+longer than the textbook one: on a k = 16 Figure 8 flat-tree instance
+λ_hi stays about 1.17·λ_lo, and the run ends at ``D(l) ≥ 1``
+(docs/performance.md).
 
 Each Dijkstra tree costs a fixed number of numpy calls, however many
 sinks it serves: all live sinks climb the tree together, one level
@@ -94,15 +101,19 @@ def solve_concurrent_approx(
     d_value = float((lengths * problem.arc_cap).sum())
     graph = _SlotGraph(problem, lengths)
     bound = DualBound(problem)
+    mix = PhaseMix(problem)
     flow = np.zeros(num_arcs)  # per CSR slot, like graph.lengths
     routed: List[np.ndarray] = [
         np.zeros(len(g.sinks)) for g in problem.groups
     ]
+    # The accumulated flow and routed amounts when the phase began.
+    start_flow, start_routed = np.zeros(num_arcs), np.concatenate(routed)
 
     lam_lo = 0.0
     lam_hi = bound.cut_bound
     phases = 0
     trees = 0
+    mix_wins = 0
     budget = max_phases if max_phases is not None else _phase_budget(epsilon, num_arcs)
     with obs.span("mcf.approx", groups=problem.num_groups, arcs=num_arcs), \
             obs.timer("mcf.approx.solve_s"):
@@ -147,7 +158,17 @@ def solve_concurrent_approx(
                     d_value += graph.lengthen(hit, load[heads], epsilon)
             phases += 1
             arc_flow = graph.to_arc_order(flow)
-            lam_lo = max(lam_lo, _certify(problem, arc_flow, routed))
+            all_routed = np.concatenate(routed)
+            lam = _certify(problem, arc_flow, routed)
+            if d_value < 1.0:
+                # A whole phase: every group routed its whole demand.
+                mixed = mix.add(arc_flow - start_flow,
+                                all_routed - start_routed)
+                if mixed > lam:
+                    mix_wins += 1
+                    lam = mixed
+            start_flow, start_routed = arc_flow, all_routed
+            lam_lo = max(lam_lo, lam)
             lam_hi = min(lam_hi, bound(graph.to_arc_order(graph.lengths),
                                        arc_flow))
             if lam_lo >= (1 - epsilon) * lam_hi:
@@ -160,6 +181,7 @@ def solve_concurrent_approx(
     obs.incr("mcf.approx.phases", phases)
     obs.incr("mcf.approx.dijkstra_calls", trees)
     obs.incr("mcf.approx.bound_searches", bound.searches)
+    obs.incr("mcf.approx.mix_wins", mix_wins)
     obs.set_gauge("mcf.approx.last_objective", lam_lo)
     obs.set_gauge("mcf.approx.last_upper_bound", lam_hi)
     return MCFResult(throughput=lam_lo, method="approx-gk",
@@ -186,6 +208,73 @@ def _certify(
     if not math.isfinite(lam):
         raise SolverError("approximation produced no routed flow")
     return lam
+
+
+class PhaseMix:
+    """A convex mix of whole phases: a second feasible flow to certify.
+
+    A whole phase routes every demand once, so any convex mix of whole
+    phases is a flow that routes every demand once as well.  The mix
+    keeps each arc's utilization and each commodity's routed share of
+    its demand.  :meth:`add` moves it toward a new phase by the step
+    that minimizes its worst utilization, so the mix is never more
+    loaded than either side.  Flows are in the problem's arc order and
+    routed amounts in its groups' sink order, concatenated, so every
+    caller that passes the same arrays gets the same mix, to the bit.
+    """
+
+    def __init__(self, problem: FlowProblem) -> None:
+        self._cap = problem.arc_cap
+        self._demands = np.concatenate([g.demands for g in problem.groups])
+        self.utilization = np.zeros(problem.num_arcs)
+        self.rates = np.zeros(self._demands.size)
+        #: Whole phases mixed in so far.
+        self.phases = 0
+
+    def add(self, flow: np.ndarray, routed: np.ndarray) -> float:
+        """Mix in one whole phase's arc flow and routed amounts, and
+        return the mix's :attr:`certificate`."""
+        utilization = flow / self._cap
+        rates = routed / self._demands
+        if self.phases:
+            gamma = _mix_step(self.utilization, utilization)
+            utilization = (1 - gamma) * self.utilization + gamma * utilization
+            rates = (1 - gamma) * self.rates + gamma * rates
+        self.utilization, self.rates = utilization, rates
+        self.phases += 1
+        return self.certificate
+
+    @property
+    def worst(self) -> float:
+        """The mix's worst arc utilization."""
+        return float(self.utilization.max())
+
+    @property
+    def certificate(self) -> float:
+        """The mix scaled to its worst arc, up or down: its worst rate."""
+        return float(self.rates.min()) / self.worst
+
+
+def _mix_step(mix: np.ndarray, phase: np.ndarray) -> float:
+    """The γ ∈ [0, 1] that minimizes max((1 − γ)·mix + γ·phase).
+
+    The maximum is convex and piecewise linear in γ, so bisect on the
+    sign of its slope at the argmax arc, then keep the best of the
+    final bracket's ends and of 0 and 1.  Sixty halvings leave a
+    bracket narrower than a double's resolution near 1.
+    """
+    def worst(gamma: float) -> float:
+        return float(((1 - gamma) * mix + gamma * phase).max())
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        top = ((1 - mid) * mix + mid * phase).argmax()
+        if phase[top] > mix[top]:
+            hi = mid
+        else:
+            lo = mid
+    return min((0.0, lo, hi, 1.0), key=worst)
 
 
 def _slot_matrix(problem: FlowProblem, weights: np.ndarray):

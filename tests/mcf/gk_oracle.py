@@ -3,10 +3,11 @@
 The straightforward form of the algorithm ``repro.mcf.approx``
 vectorizes: every sink walks its own path up the Dijkstra tree in
 Python, and the arc lengths are scattered into the CSR matrix before
-every tree.  Only the upper bound's evaluation, ``DualBound``, is
-shared with the solver.  ``test_approx_oracle.py`` checks that the
-vectorized solver returns exactly the same λ, upper bound, phase count
-and tree count on every instance it draws.
+every tree.  Only the upper bound's evaluation, ``DualBound``, and the
+mix of whole phases, ``PhaseMix``, are shared with the solver.
+``test_approx_oracle.py`` checks that the vectorized solver returns
+exactly the same λ, upper bound, phase count and tree count on every
+instance it draws, and hands both the same arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import SolverError
-from repro.mcf.approx import DualBound
+from repro.mcf.approx import DualBound, PhaseMix
 from repro.mcf.commodities import FlowProblem
 from repro.mcf.exact import MCFResult
 
@@ -49,11 +50,14 @@ def solve_concurrent_approx_oracle(
 
     graph = _AdjacencyView(problem)
     bound = DualBound(problem)
+    mix = PhaseMix(problem)
+    start_flow, start_routed = flow.copy(), np.concatenate(routed)
     d_value = float((lengths * cap).sum())
     lam_lo = 0.0
     lam_hi = bound.cut_bound
     phases = 0
     trees = 0
+    mix_wins = 0
     budget = max_phases if max_phases is not None else _phase_budget(epsilon, num_arcs)
     with obs.span("mcf.approx", groups=problem.num_groups, arcs=num_arcs), \
             obs.timer("mcf.approx.solve_s"):
@@ -99,7 +103,16 @@ def solve_concurrent_approx_oracle(
                     d_value += float((lengths * (bump - 1.0) * cap).sum())
                     lengths *= bump
             phases += 1
-            lam_lo = max(lam_lo, _certify(problem, flow, routed))
+            all_routed = np.concatenate(routed)
+            lam = _certify(problem, flow, routed)
+            if d_value < 1.0:
+                # Every group routed its whole demand: mix the phase in.
+                mixed = mix.add(flow - start_flow, all_routed - start_routed)
+                if mixed > lam:
+                    mix_wins += 1
+                    lam = mixed
+            start_flow, start_routed = flow.copy(), all_routed
+            lam_lo = max(lam_lo, lam)
             lam_hi = min(lam_hi, bound(lengths, flow))
             if lam_lo >= (1 - epsilon) * lam_hi:
                 obs.incr("mcf.approx.gap_stops")
@@ -111,6 +124,7 @@ def solve_concurrent_approx_oracle(
     obs.incr("mcf.approx.phases", phases)
     obs.incr("mcf.approx.dijkstra_calls", trees)
     obs.incr("mcf.approx.bound_searches", bound.searches)
+    obs.incr("mcf.approx.mix_wins", mix_wins)
     obs.set_gauge("mcf.approx.last_objective", lam_lo)
     obs.set_gauge("mcf.approx.last_upper_bound", lam_hi)
     return MCFResult(throughput=lam_lo, method="approx-gk",

@@ -2,12 +2,13 @@
 
 In ``gk_oracle.solve_concurrent_approx_oracle`` every sink walks its
 own path in Python.  The vectorized solver must reproduce its float
-accumulation exactly.  λ, its upper bound, and every phase's arc
-lengths and flows are compared with ``==``, and the
-``mcf.approx.phases`` and ``mcf.approx.dijkstra_calls`` counters must
-move by the same amounts.  The instances use fractional demands and
-capacities above 1, where a different summation order would show in
-the last bits.
+accumulation exactly.  λ, its upper bound, every phase's arc lengths
+and flows, and every whole phase's flow and routed amounts are
+compared with ``==``, and the ``mcf.approx.phases``,
+``mcf.approx.dijkstra_calls`` and ``mcf.approx.mix_wins`` counters
+must move by the same amounts.  The instances use fractional demands
+and capacities above 1, where a different summation order would show
+in the last bits.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from gk_oracle import solve_concurrent_approx_oracle
 from instances import TOPOLOGIES, counted, network, random_problem
-from repro.mcf.approx import DualBound, solve_concurrent_approx
+from repro.mcf.approx import DualBound, PhaseMix, solve_concurrent_approx
 from repro.mcf.commodities import (
     Commodity,
     DemandGroup,
@@ -29,30 +30,38 @@ from repro.mcf.commodities import (
     build_flow_problem,
 )
 
-COUNTERS = ("mcf.approx.phases", "mcf.approx.dijkstra_calls")
+COUNTERS = ("mcf.approx.phases", "mcf.approx.dijkstra_calls",
+            "mcf.approx.mix_wins")
 
 
 def solve_both(problem: FlowProblem, **kwargs) -> Tuple[tuple, tuple]:
-    """(λ, upper bound, phase delta, tree delta, phase ends) of solver
-    and oracle.  A phase end is the bytes of the arc lengths and flows
-    the solver hands to ``DualBound`` after a phase, so a difference in
-    the last bit of any length counts even where λ does not show it."""
-    bound_call = DualBound.__call__
+    """(λ, upper bound, phase delta, tree delta, mix-win delta, phase
+    ends, whole phases) of solver and oracle.  A phase end is the bytes
+    of the arc lengths and flows the solver hands to ``DualBound`` after
+    a phase, and a whole phase the bytes of the flow and routed amounts
+    it hands to ``PhaseMix``, so a difference in the last bit of any of
+    them counts even where λ does not show it."""
+    bound_call, mix_add = DualBound.__call__, PhaseMix.add
     out = []
     for solver in (solve_concurrent_approx, solve_concurrent_approx_oracle):
-        ends = []
+        ends, wholes = [], []
 
-        def record(bound, lengths, flow):
+        def record_end(bound, lengths, flow):
             ends.append((lengths.tobytes(), flow.tobytes()))
             return bound_call(bound, lengths, flow)
 
-        DualBound.__call__ = record
+        def record_whole(mix, flow, routed):
+            wholes.append((flow.tobytes(), routed.tobytes()))
+            return mix_add(mix, flow, routed)
+
+        DualBound.__call__, PhaseMix.add = record_end, record_whole
         try:
             result, moved = counted(solver, problem, COUNTERS, **kwargs)
         finally:
-            DualBound.__call__ = bound_call
+            DualBound.__call__, PhaseMix.add = bound_call, mix_add
         out.append((result.throughput, result.upper_bound,
-                    *(moved[name] for name in COUNTERS), tuple(ends)))
+                    *(moved[name] for name in COUNTERS), tuple(ends),
+                    tuple(wholes)))
     return out[0], out[1]
 
 
@@ -89,6 +98,7 @@ def test_fractional_all_to_all_matches_oracle():
     new, old = solve_both(problem, epsilon=0.1)
     assert new == old
     assert new[2] > 1 and new[3] > problem.num_groups
+    assert new[4] > 0 and len(new[6]) == new[2]
 
 
 def test_single_phase_matches_oracle():
@@ -114,4 +124,4 @@ def test_unreachable_sink_gives_zero_like_oracle():
     )
     new, old = solve_both(problem, epsilon=0.1)
     assert new == old
-    assert new == (0.0, 0.0, 0.0, 0.0, ())
+    assert new == (0.0, 0.0, 0.0, 0.0, 0.0, (), ())

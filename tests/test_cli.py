@@ -242,10 +242,19 @@ class TestUsage:
          "argument --flows: must be >= 1"),
         (["fct", "--ks", "4", "--flows", "-1"],
          "argument --flows: must be >= 1"),
+        (["convert", "--k", "5"], "argument --k: must be an even k >= 4"),
+        (["fig8", "--ks", "4", "5"],
+         "argument --ks: must be an even k >= 4, got 5"),
+        (["cost", "--ks", "0"], "argument --ks: must be an even k >= 4"),
+        (["schedule", "--k", "2"], "argument --k: must be an even k >= 4"),
+        (["hybrid", "--k", "5"], "argument --k: must be an even k >= 4"),
+        (["monitor", "--k", "5"], "argument --k: must be an even k >= 4"),
     ], ids=["schedule-max-batch", "chaos-max-batch", "chaos-trials",
             "degradation-draws", "monitor-retention", "monitor-interval",
             "downscale-flows", "fct-monitor-flows", "fct-flows-zero",
-            "fct-flows-negative"])
+            "fct-flows-negative", "convert-k-odd", "fig8-ks-odd",
+            "cost-ks-zero", "schedule-k-two", "hybrid-k-odd",
+            "monitor-k-odd"])
     def test_out_of_range_number_exits_two(self, capsys, argv, message):
         """Each of these ended in a traceback (exit 1)."""
         try:

@@ -16,63 +16,23 @@ estimates used in the topology literature:
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from repro.errors import SolverError
-from repro.topology.elements import Network, SwitchId
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
-_SCALE = 10_000
-
-
-def _capacity_matrix(
-    net: Network, extra_nodes: int = 0
-) -> Tuple[sp.csr_matrix, Dict[SwitchId, int]]:
-    import scipy.sparse as sp
-
-    index = net.switch_index()
-    n = len(index) + extra_nodes
-    rows, cols, vals = [], [], []
-    for u, v, cap in net.edge_list():
-        ui, vi = index[u], index[v]
-        scaled = int(round(cap * _SCALE))
-        rows.extend((ui, vi))
-        cols.extend((vi, ui))
-        vals.extend((scaled, scaled))
-    matrix = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(n, n), dtype=np.int64
-    )
-    return matrix, index
+from repro.mcf.maxflow import max_flow, single_pair_max_flow
+from repro.topology.elements import Network
 
 
 def flow_between_sets(
     net: Network, side_a, side_b
 ) -> float:
     """Max flow from switch set ``side_a`` to ``side_b`` (super nodes)."""
-    from scipy.sparse.csgraph import maximum_flow
-
     side_a, side_b = set(side_a), set(side_b)
     if not side_a or not side_b:
         raise SolverError("both sides of a cut need at least one switch")
     if side_a & side_b:
         raise SolverError("cut sides overlap")
-    base, index = _capacity_matrix(net, extra_nodes=2)
-    n = len(index)
-    source, sink = n, n + 1
-    # scipy's maximum_flow requires int32; one billion dwarfs any real
-    # cut (total fabric capacity stays far below it) without overflow.
-    big = 1_000_000_000
-    lil = base.tolil()
-    for switch in side_a:
-        lil[source, index[switch]] = big
-    for switch in side_b:
-        lil[index[switch], sink] = big
-    result = maximum_flow(lil.tocsr().astype(np.int32), source, sink)
-    return result.flow_value / _SCALE
+    return max_flow(net, side_a, side_b)
 
 
 def random_bisection_bandwidth(
@@ -113,8 +73,6 @@ def sparsest_pair_cut(
     rng: Optional[random.Random] = None,
 ) -> float:
     """Min max-flow over sampled switch pairs (capacity floor signal)."""
-    from repro.mcf.maxflow import single_pair_max_flow
-
     rng = rng or random.Random(0)
     switches = [s for s in net.switches() if net.degree(s) > 0]
     if len(switches) < 2:

@@ -44,17 +44,14 @@ def summarize(
     rng: Optional[random.Random] = None,
 ) -> TopologySummary:
     """Compute a :class:`TopologySummary` for one network."""
-    distances = switch_distances(net)
-    dist = distances[0]
+    dist, _ids = switch_distances(net)
     finite = dist[np.isfinite(dist)]
     return TopologySummary(
         name=net.name,
         switches=net.num_switches,
         servers=net.num_servers,
         cables=net.num_cables,
-        average_path_length=average_server_path_length(
-            net, distances=distances
-        ),
+        average_path_length=average_server_path_length(net),
         diameter=int(finite.max()),
         bisection=random_bisection_bandwidth(
             net, trials=bisection_trials, rng=rng or random.Random(0)

@@ -96,6 +96,22 @@ def _at_least(minimum, kind=int):
     return parse
 
 
+def _fraction(interval: str):
+    """argparse ``type=`` for a float in ``interval``, a sub-interval of
+    [0, 1] written as one of ``[0, 1]``, ``[0, 1)``, ``(0, 1)``, ``(0, 1]``."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (0 < value < 1 or (value == 0 and interval[0] == "[")
+                or (value == 1 and interval[-1] == "]")):
+            raise argparse.ArgumentTypeError(
+                f"must be in {interval}, got {value}")
+        return value
+
+    parse.__name__ = "float"  # argparse names the type in its messages
+    return parse
+
+
 def _even_k(text: str) -> int:
     """argparse ``type=`` for a fat-tree parameter: an even k >= 4."""
     value = int(text)
@@ -146,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hybrid", help="section 3.4 zone-isolation study")
     p.add_argument("--k", type=_even_k, default=None)
-    p.add_argument("--fractions", type=float, nargs="+",
+    p.add_argument("--fractions", type=_fraction("(0, 1)"), nargs="+",
                    default=list(DEFAULT_FRACTIONS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--solver", choices=("exact", "approx"), default=None)
@@ -195,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("degradation",
                        help="throughput under random link failures")
     p.add_argument("--k", type=_even_k, default=8)
-    p.add_argument("--fractions", type=float, nargs="+",
+    p.add_argument("--fractions", type=_fraction("[0, 1)"), nargs="+",
                    default=[0.0, 0.05, 0.1, 0.2])
     p.add_argument("--draws", type=_at_least(1), default=3)
     p.add_argument("--seed", type=int, default=0)
@@ -245,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fault-injection sweep: conversion resilience "
                             "per fault rate and technology")
     p.add_argument("--k", type=_even_k, default=4)
-    p.add_argument("--rates", type=float, nargs="+",
+    p.add_argument("--rates", type=_fraction("[0, 1]"), nargs="+",
                    default=[0.0, 0.05, 0.1, 0.2])
     p.add_argument("--technologies", nargs="+",
                    choices=("mems", "mzi", "packet"),
@@ -258,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("downscale",
                        help="sleep core switches under a throughput floor")
     p.add_argument("--k", type=_even_k, required=True)
-    p.add_argument("--floor", type=float, default=0.5)
+    p.add_argument("--floor", type=_fraction("(0, 1]"), default=0.5)
     p.add_argument("--flows", type=_at_least(1), default=8,
                    help="random idle flows to protect")
     p.add_argument("--seed", type=int, default=0)
@@ -309,9 +325,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="storm/workload seed for --regret/--soak")
     p.add_argument("--duration", type=float, default=12.0,
                    help="--regret: storm horizon in trace seconds")
-    p.add_argument("--episodes", type=int, default=2,
+    p.add_argument("--episodes", type=_at_least(0), default=2,
                    help="--regret: scripted hotspot episodes")
-    p.add_argument("--flows", type=int, default=24,
+    p.add_argument("--flows", type=_at_least(1), default=24,
                    help="--soak: workload size")
     p.set_defaults(handler=_heal_handler)
 

@@ -49,6 +49,7 @@ from repro.core.reconfigure import (
     Technology,
 )
 from repro.errors import ConfigurationError, TopologyError
+from repro.experiments.common import render_table
 from repro.topology.stats import average_server_path_length
 
 DEFAULT_RATES: Sequence[float] = (0.0, 0.05, 0.1, 0.2)
@@ -131,20 +132,7 @@ class ChaosSweepResult:
             str(c.unrecoverable),
             str(c.disconnected),
         ] for c in self.cells]
-        widths = [
-            max(len(headers[i]), *(len(r[i]) for r in rows))
-            if rows else len(headers[i])
-            for i in range(len(headers))
-        ]
-        lines = [
-            "  ".join(h.rjust(w) for h, w in zip(headers, widths)),
-            "  ".join("-" * w for w in widths),
-        ]
-        for row in rows:
-            lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-        for note in self.notes:
-            lines.append(f"# {note}")
-        return "\n".join(lines)
+        return render_table(headers, rows, self.notes)
 
 
 def _trial_seed(seed: int, technology: Technology, rate: float,

@@ -84,19 +84,23 @@ class ExperimentResult:
                 value = s.points.get(x)
                 row.append("-" if value is None else _fmt(value, precision))
             rows.append(row)
-        widths = [
-            max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i])
-            for i in range(len(headers))
-        ]
-        lines = [
-            "  ".join(h.rjust(w) for h, w in zip(headers, widths)),
-            "  ".join("-" * w for w in widths),
-        ]
-        for row in rows:
-            lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-        for note in self.notes:
-            lines.append(f"# {note}")
-        return "\n".join(lines)
+        return render_table(headers, rows, self.notes)
+
+
+def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]],
+                 notes: Iterable[str] = ()) -> str:
+    """Right-justified columns under a dashed rule, then ``# note`` lines."""
+    widths = [max([len(h), *(len(r[i]) for r in rows)])
+              for i, h in enumerate(headers)]
+    lines = [
+        "  ".join(h.rjust(w) for h, w in zip(headers, widths)),
+        "  ".join("-" * w for w in widths),
+    ]
+    for row in rows:
+        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+    for note in notes:
+        lines.append(f"# {note}")
+    return "\n".join(lines)
 
 
 def _fmt(value: float, precision: int) -> str:

@@ -118,11 +118,14 @@ def run_fct_monitored(
     pair-atomic batches write their blink windows into the monitor's
     downtime ledger; the second half then runs on the converted fabric,
     arrivals stamped after the conversion completes, with the *same*
-    monitor rebound to the new materialization.  The conversion is
-    modeled as overlapping the Clos phase's tail (the fluid simulator
-    cannot swap fabrics mid-event-loop), which is exactly what makes the
-    ``dark_traffic`` figure non-trivial: it measures the flow-seconds
-    of in-flight Clos traffic that crossed links while they blinked.
+    monitor rebound to the new materialization.  The run keeps two
+    phases because the ``dark_traffic`` figure measures Clos flows that
+    overlap the blink windows: the flow-seconds of in-flight Clos
+    traffic that crossed links while they blinked.  So the Clos phase
+    runs to completion on its own paths, and the conversion is stamped
+    over its tail rather than fed to the simulator as
+    :class:`~repro.flowsim.TopologyEvent` changes, which would re-route
+    those flows around the dark links.
     """
     if flows < 2:
         raise ReproError("monitored FCT needs at least 2 flows "

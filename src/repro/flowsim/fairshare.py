@@ -107,7 +107,7 @@ class FlowSet:
         self.ids: List[int] = []
         self.owner = np.empty(0, dtype=np.intp)
         self.crossing = np.empty(0, dtype=np.intp)
-        self.count = np.zeros(index.capacity.size, dtype=np.intp)
+        self.count = np.zeros(index.links.capacity.size, dtype=np.intp)
         self.capped = 0  # flows with a demand ceiling
         self.admit(flows)
 
@@ -178,7 +178,7 @@ class FlowSet:
         # Every link an entry names carries at least one active flow:
         # an entry leaves when its flow freezes.
         count = self.count.copy()
-        remaining = self.index.capacity.copy()
+        remaining = self.index.links.capacity.copy()
         while True:
             share = remaining[crossing] / count[crossing]
             level = share.min()

@@ -22,13 +22,13 @@ traffic and achieves the identical ``λ``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from repro.errors import TrafficError
-from repro.topology.elements import Network, ServerId, SwitchId
+from repro.topology.elements import Network, ServerId
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,11 @@ class DemandGroup:
 class FlowProblem:
     """A directed, capacitated flow network with aggregated demands.
 
-    Node ids are dense integers (see ``switch_of``/``index_of`` for the
-    mapping back to topology switches).  Arcs come in antiparallel pairs
-    (full-duplex cables).
+    Built by :func:`build_flow_problem`, node ``i`` is switch
+    ``net.link_index().nodes[i]`` and the arcs are that index's
+    directed links: cable bundle ``j`` gives arcs ``2j`` and ``2j + 1``,
+    an antiparallel pair (full duplex).  The arc arrays are the index's
+    own read-only arrays.
     """
 
     num_nodes: int
@@ -73,7 +75,6 @@ class FlowProblem:
     arc_dst: np.ndarray
     arc_cap: np.ndarray
     groups: List[DemandGroup]
-    index_of: Dict[SwitchId, int] = field(default_factory=dict)
 
     @property
     def num_arcs(self) -> int:
@@ -104,7 +105,6 @@ class FlowProblem:
             arc_dst=self.arc_src.copy(),
             arc_cap=self.arc_cap.copy(),
             groups=groups,
-            index_of=dict(self.index_of),
         )
 
 
@@ -117,11 +117,12 @@ def build_flow_problem(
     them unconstraining).  Raises :class:`TrafficError` if *every*
     commodity is dropped — a concurrent-flow value would be meaningless.
     """
-    index = net.switch_index()
+    index = net.link_index()
+    ids = index.switch_ids
     pairs: List[Tuple[int, int, float]] = []
     for c in commodities:
-        src_sw = index[net.server_switch(c.src)]
-        dst_sw = index[net.server_switch(c.dst)]
+        src_sw = ids[net.server_switch(c.src)]
+        dst_sw = ids[net.server_switch(c.dst)]
         if src_sw == dst_sw:
             continue
         pairs.append((src_sw, dst_sw, c.demand))
@@ -129,21 +130,13 @@ def build_flow_problem(
         raise TrafficError(
             "all commodities are same-switch; concurrent flow is unbounded"
         )
-    srcs: List[int] = []
-    dsts: List[int] = []
-    caps: List[float] = []
-    for u, v, cap in net.edge_list():
-        ui, vi = index[u], index[v]
-        srcs.extend((ui, vi))
-        dsts.extend((vi, ui))
-        caps.extend((cap, cap))
+    links = index.links
     return FlowProblem(
-        num_nodes=len(index),
-        arc_src=np.asarray(srcs, dtype=np.int32),
-        arc_dst=np.asarray(dsts, dtype=np.int32),
-        arc_cap=np.asarray(caps, dtype=np.float64),
+        num_nodes=len(ids),
+        arc_src=links.tail,
+        arc_dst=links.head,
+        arc_cap=links.capacity,
         groups=_aggregate(pairs),
-        index_of=index,
     )
 
 

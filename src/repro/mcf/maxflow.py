@@ -2,13 +2,13 @@
 
 Concurrent-flow optima are expensive; these helpers provide cheap upper
 bounds (used as sanity rails in tests and as fast previews in the CLI)
-and an exact single-pair max-flow built on
+and exact max-flows between switch sets built on
 :func:`scipy.sparse.csgraph.maximum_flow`.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Collection, Dict
 
 import numpy as np
 
@@ -18,6 +18,9 @@ from repro.topology.elements import Network, SwitchId
 
 #: Capacities are scaled to integers for csgraph's integer max-flow.
 _FLOW_SCALE = 10_000
+#: Scaled capacity of a super node's arcs: it dwarfs any fabric cut (total
+#: fabric capacity stays far below it) and fits scipy's int32 capacities.
+_UNBOUNDED = 1_000_000_000
 
 
 def source_cut_bound(problem: FlowProblem) -> float:
@@ -53,26 +56,34 @@ def concurrent_upper_bound(problem: FlowProblem) -> float:
     return min(source_cut_bound(problem), sink_cut_bound(problem))
 
 
-def single_pair_max_flow(net: Network, src: SwitchId, dst: SwitchId) -> float:
-    """Exact max flow between two switches over the fabric.
+def max_flow(net: Network, sources: Collection[SwitchId],
+             sinks: Collection[SwitchId]) -> float:
+    """Exact max flow from the switches ``sources`` to ``sinks``.
 
-    Capacities are the cable-bundle capacities; both directions of a
-    cable may be used simultaneously (full-duplex model).
+    A super source feeds every source and every sink drains into a
+    super sink.  The fabric's directed links carry their cable-bundle
+    capacities, scaled to integers, so both directions of a cable may be
+    used simultaneously (full-duplex model).
     """
     import scipy.sparse as sp
     from scipy.sparse.csgraph import maximum_flow
 
+    index = net.link_index()
+    tail, head, capacity = index.links
+    n = len(index.switch_ids)
+    feeds = [index.switch_ids[s] for s in sources]
+    drains = [index.switch_ids[s] for s in sinks]
+    rows = np.concatenate((tail, np.full(len(feeds), n), drains))
+    cols = np.concatenate((head, feeds, np.full(len(drains), n + 1)))
+    caps = np.concatenate((np.rint(capacity * _FLOW_SCALE),
+                           np.full(len(feeds) + len(drains), _UNBOUNDED)))
+    graph = sp.csr_matrix((caps.astype(np.int32), (rows, cols)),
+                          shape=(n + 2, n + 2))
+    return maximum_flow(graph, n, n + 1).flow_value / _FLOW_SCALE
+
+
+def single_pair_max_flow(net: Network, src: SwitchId, dst: SwitchId) -> float:
+    """Exact max flow between two switches over the fabric."""
     if src == dst:
         raise SolverError("source and destination switches coincide")
-    index = net.switch_index()
-    n = len(index)
-    rows, cols, vals = [], [], []
-    for u, v, cap in net.edge_list():
-        ui, vi = index[u], index[v]
-        scaled = int(round(cap * _FLOW_SCALE))
-        rows.extend((ui, vi))
-        cols.extend((vi, ui))
-        vals.extend((scaled, scaled))
-    graph = sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.int32)
-    result = maximum_flow(graph, index[src], index[dst])
-    return result.flow_value / _FLOW_SCALE
+    return max_flow(net, [src], [dst])

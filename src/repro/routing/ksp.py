@@ -5,8 +5,8 @@ Jellyfish showed that 8-shortest-paths routing captures most of a random
 graph's capacity; 8 is therefore the default ``k`` here.
 
 Enumeration is Yen's algorithm (loop-free, ascending length) over the
-fabric's :class:`~repro.topology.elements.AdjacencyIndex`: dense switch
-ids whose neighbor lists keep the fabric's own order.  It follows
+fabric's :class:`~repro.topology.elements.LinkIndex`: dense switch ids
+whose neighbor lists keep the fabric's own order.  It follows
 networkx's simple-paths generator step for step — the same
 bidirectional-BFS spur search, the same ``(length, push order)`` heap
 tie-break, the same stop after the k-th path — so it returns the same
@@ -48,8 +48,8 @@ def k_shortest_paths(
     """
     if k < 1:
         raise RoutingError(f"k must be positive, got {k}")
-    index = net.adjacency_index()
-    s, t = index.ids.get(src), index.ids.get(dst)
+    index = net.link_index()
+    s, t = index.switch_ids.get(src), index.switch_ids.get(dst)
     if s is None or t is None:
         raise RoutingError(f"no path from {src!r} to {dst!r}")
     if s == t:

@@ -19,7 +19,10 @@ though both are 2-field tuples at heart.
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import chain
 from typing import (
+    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -39,6 +42,9 @@ from repro.errors import (
     RoutingError,
     TopologyError,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class CoreSwitch(NamedTuple):
@@ -103,7 +109,6 @@ class Network:
         self._server_loc: Dict[ServerId, SwitchId] = {}
         self._servers_on: Dict[SwitchId, List[ServerId]] = {}
         self._link_index: Optional[LinkIndex] = None
-        self._adjacency_index: Optional[AdjacencyIndex] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -117,7 +122,7 @@ class Network:
         self._ports[node] = ports
         self._ports_used[node] = 0
         self._servers_on[node] = []
-        self._adjacency_index = None
+        self._link_index = None
         self._fabric.add_node(node)
 
     def add_server(self, server: ServerId, switch: SwitchId) -> None:
@@ -139,7 +144,6 @@ class Network:
         self._consume_port(u)
         self._consume_port(v)
         self._link_index = None
-        self._adjacency_index = None
         if self._fabric.has_edge(u, v):
             data = self._fabric[u][v]
             data["capacity"] += capacity
@@ -152,7 +156,6 @@ class Network:
         if not self._fabric.has_edge(u, v):
             raise TopologyError(f"no cable between {u!r} and {v!r}")
         self._link_index = None
-        self._adjacency_index = None
         data = self._fabric[u][v]
         data["mult"] -= 1
         data["capacity"] -= capacity
@@ -260,12 +263,12 @@ class Network:
     # conversions
     # ------------------------------------------------------------------
     def switch_index(self) -> Dict[SwitchId, int]:
-        """A stable switch -> dense integer index mapping.
+        """A stable switch -> dense integer index mapping (a copy).
 
         The ordering is the switch insertion order, which builders keep
         deterministic, so the same topology always yields the same index.
         """
-        return {s: i for i, s in enumerate(self._ports)}
+        return dict(self.link_index().switch_ids)
 
     def host_counts(self) -> Dict[SwitchId, int]:
         """Mapping switch -> number of attached servers (only non-zero)."""
@@ -290,23 +293,14 @@ class Network:
         ]
 
     def link_index(self) -> "LinkIndex":
-        """The directed-link index of the current fabric.
-
-        Built on first use and kept until a cable is added or removed.
-        """
-        if self._link_index is None:
-            self._link_index = LinkIndex(self)
-        return self._link_index
-
-    def adjacency_index(self) -> "AdjacencyIndex":
-        """The integer adjacency of the current fabric.
+        """The integer form of the current fabric.
 
         Built on first use and kept until a switch is added or a cable
-        is added or removed.
+        is added or removed; moving servers keeps it.
         """
-        if self._adjacency_index is None:
-            self._adjacency_index = AdjacencyIndex(self)
-        return self._adjacency_index
+        if self._link_index is None:
+            self._link_index = LinkIndex(self._fabric)
+        return self._link_index
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -315,31 +309,84 @@ class Network:
         )
 
 
-class LinkIndex:
-    """Dense integer ids for the directed links of one fabric.
+class Links(NamedTuple):
+    """A fabric's directed links as read-only parallel arrays."""
 
-    Every cable bundle contributes two directed links, ``(u, v)`` and
-    ``(v, u)``, each with the bundle's full capacity (full duplex).
-    ``ids`` maps a directed link to its id and ``capacity[i]`` is link
-    ``i``'s capacity.  :meth:`path_links` memoizes each path's link ids,
-    so array kernels touch each path's switches once per network.
+    tail: np.ndarray  # int32 switch ids
+    head: np.ndarray  # int32 switch ids
+    capacity: np.ndarray  # float64
+
+
+class LinkIndex:
+    """The integer form of one fabric; each view is built on first use.
+
+    The index holds the fabric graph, not its network, so no reference
+    cycle keeps a dropped network alive.  ``switch_ids`` numbers the
+    switches in insertion order and ``nodes[i]`` is switch ``i``.
+    ``links``: fabric edge ``j`` (in :meth:`Network.edge_list` order)
+    gives link ``2j`` from ``u`` to ``v`` and ``2j + 1`` back, each with
+    the bundle's full capacity (full duplex).  ``link_ids`` maps a
+    directed switch pair to its link, and :meth:`path_links` memoizes
+    each path's link ids.  ``neighbors[i]`` lists switch ``i``'s
+    neighbors in the fabric's adjacency order, the order networkx's
+    searches visit them in, so a search over these lists breaks ties as
+    the same search over the graph does; :meth:`adjacency` is their
+    sparse matrix.  ``distances`` are the all-pairs hop counts.
     """
 
-    def __init__(self, net: Network) -> None:
-        ids: Dict[Tuple[SwitchId, SwitchId], int] = {}
-        capacity: List[float] = []
-        for u, v, cap in net.edge_list():
-            if cap <= 0:
-                raise ReproError(
-                    f"link {u!r} - {v!r} has non-positive capacity {cap}; "
-                    f"flows crossing it could never be allocated a rate"
-                )
-            ids[(u, v)] = len(capacity)
-            ids[(v, u)] = len(capacity) + 1
-            capacity += (cap, cap)
-        self.ids = ids
-        self.capacity = np.array(capacity, dtype=float)
+    def __init__(self, fabric: nx.Graph) -> None:
+        self._fabric = fabric
         self._paths: Dict[Tuple[SwitchId, ...], np.ndarray] = {}
+
+    @cached_property
+    def switch_ids(self) -> Dict[SwitchId, int]:
+        return {s: i for i, s in enumerate(self._fabric)}
+
+    @cached_property
+    def nodes(self) -> List[SwitchId]:
+        return list(self.switch_ids)
+
+    @cached_property
+    def neighbors(self) -> List[Tuple[int, ...]]:
+        ids = self.switch_ids
+        return [tuple(map(ids.__getitem__, nbrs))
+                for _s, nbrs in self._fabric.adjacency()]
+
+    @cached_property
+    def links(self) -> Links:
+        ids = self.switch_ids
+        tail: List[int] = []
+        head: List[int] = []
+        capacity: List[float] = []
+        # networkx's edge order: each edge once, from its earlier switch.
+        for i, (u, nbrs) in enumerate(self._fabric.adjacency()):
+            for v, data in nbrs.items():
+                j = ids[v]
+                if j > i:
+                    cap = data["capacity"]
+                    if cap <= 0:
+                        raise ReproError(
+                            f"link {u!r} - {v!r} has non-positive capacity "
+                            f"{cap}; flows crossing it could never be "
+                            f"allocated a rate"
+                        )
+                    tail += (i, j)
+                    head += (j, i)
+                    capacity += (cap, cap)
+        links = Links(np.array(tail, dtype=np.int32),
+                      np.array(head, dtype=np.int32),
+                      np.array(capacity, dtype=np.float64))
+        for array in links:
+            array.flags.writeable = False
+        return links
+
+    @cached_property
+    def link_ids(self) -> Dict[Tuple[SwitchId, SwitchId], int]:
+        nodes = self.nodes
+        tail, head, _capacity = self.links
+        hops = zip(map(nodes.__getitem__, tail.tolist()),
+                   map(nodes.__getitem__, head.tolist()))
+        return dict(zip(hops, range(tail.size)))
 
     def path_links(self, nodes: Tuple[SwitchId, ...]) -> np.ndarray:
         """Ids of the directed links a switch path crosses, in order.
@@ -350,7 +397,7 @@ class LinkIndex:
         links = self._paths.get(nodes)
         if links is None:
             try:
-                links = np.array([self.ids[hop]
+                links = np.array([self.link_ids[hop]
                                   for hop in zip(nodes, nodes[1:])],
                                  dtype=np.intp)
             except KeyError as missing:
@@ -361,25 +408,27 @@ class LinkIndex:
             self._paths[nodes] = links
         return links
 
+    def adjacency(self) -> "sp.csr_matrix":
+        """Unweighted switch adjacency (parallel cables collapse to 1)."""
+        import scipy.sparse as sp
 
-class AdjacencyIndex:
-    """Dense integer ids for the switches of one fabric, with neighbors.
+        indptr = np.cumsum([0] + [len(nbrs) for nbrs in self.neighbors])
+        indices = np.fromiter(chain.from_iterable(self.neighbors),
+                              dtype=np.int32, count=indptr[-1])
+        return sp.csr_matrix(
+            (np.ones(indices.size, dtype=np.int8), indices, indptr),
+            shape=(len(self.neighbors), len(self.neighbors)),
+        )
 
-    ``ids`` is :meth:`Network.switch_index` and ``nodes[i]`` is switch
-    ``i``.  ``neighbors[i]`` holds the ids of switch ``i``'s fabric
-    neighbors in the fabric's own adjacency order, which is the order
-    networkx's graph searches visit them in, so a search over these
-    lists breaks ties as the same search over the graph does.
-    """
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """Dense, read-only ``(n, n)`` hop counts; ``inf`` if unreachable."""
+        from scipy.sparse.csgraph import shortest_path
 
-    def __init__(self, net: Network) -> None:
-        ids = net.switch_index()
-        fabric = net.fabric
-        self.ids = ids
-        self.nodes: List[SwitchId] = list(ids)
-        self.neighbors: List[Tuple[int, ...]] = [
-            tuple(ids[w] for w in fabric[s]) for s in self.nodes
-        ]
+        dist = shortest_path(self.adjacency(), method="D", directed=False,
+                             unweighted=True)
+        dist.flags.writeable = False
+        return dist
 
 
 def total_ports(net: Network) -> int:

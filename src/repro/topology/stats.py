@@ -9,46 +9,19 @@ are 2 hops apart.
 
 Distances are computed switch-level with :mod:`scipy.sparse.csgraph`
 (C-implemented BFS/Dijkstra), then averaged with server-count weights —
-orders of magnitude faster than per-server BFS in Python.
+orders of magnitude faster than per-server BFS in Python.  They are the
+fabric's :class:`~repro.topology.elements.LinkIndex` view, so every
+metric on one fabric shares one all-pairs computation.
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import TopologyError
 from repro.topology.elements import Network, ServerId, SwitchId
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
-
-def adjacency_matrix(
-    net: Network, index: Optional[Dict[SwitchId, int]] = None
-) -> sp.csr_matrix:
-    """Unweighted switch adjacency (parallel cables collapse to 1)."""
-    import scipy.sparse as sp
-
-    idx = index or net.switch_index()
-    n = len(idx)
-    rows: List[int] = []
-    cols: List[int] = []
-    for u, v, _cap in net.edge_list():
-        ui, vi = idx[u], idx[v]
-        rows.extend((ui, vi))
-        cols.extend((vi, ui))
-    data = np.ones(len(rows), dtype=np.int8)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 def switch_distances(
@@ -56,15 +29,13 @@ def switch_distances(
 ) -> Tuple[np.ndarray, Dict[SwitchId, int]]:
     """All-pairs switch hop distances and the switch index used.
 
-    Returns a dense ``(n, n)`` float array (``inf`` marks disconnected
-    pairs) and the switch -> row index mapping.
+    Returns a dense, read-only ``(n, n)`` float array (``inf`` marks
+    disconnected pairs) and the switch -> row index mapping (read it, do
+    not mutate it).  Both are the network's link index views, kept
+    until its fabric changes.
     """
-    from scipy.sparse.csgraph import shortest_path
-
-    idx = net.switch_index()
-    adj = adjacency_matrix(net, idx)
-    dist = shortest_path(adj, method="D", directed=False, unweighted=True)
-    return dist, idx
+    index = net.link_index()
+    return index.distances, index.switch_ids
 
 
 def is_connected(net: Network) -> bool:
@@ -73,8 +44,8 @@ def is_connected(net: Network) -> bool:
 
     if net.num_switches == 0:
         return True
-    adj = adjacency_matrix(net)
-    ncomp, _labels = connected_components(adj, directed=False)
+    ncomp, _labels = connected_components(net.link_index().adjacency(),
+                                          directed=False)
     return ncomp == 1
 
 
@@ -117,18 +88,11 @@ def _weighted_pair_hops(
     return hops, pairs
 
 
-def average_server_path_length(
-    net: Network,
-    distances: Optional[Tuple[np.ndarray, Dict[SwitchId, int]]] = None,
-) -> float:
-    """Average hop count over all ordered server pairs (paper Fig. 5).
-
-    ``distances`` may be a precomputed :func:`switch_distances` result to
-    amortize the all-pairs computation across several metrics.
-    """
+def average_server_path_length(net: Network) -> float:
+    """Average hop count over all ordered server pairs (paper Fig. 5)."""
     if net.num_servers < 2:
         raise TopologyError("need at least two servers for a path length")
-    dist, idx = distances or switch_distances(net)
+    dist, idx = switch_distances(net)
     counts = _server_counts(net, idx, None)
     hops, pairs = _weighted_pair_hops(dist, counts)
     return hops / pairs
@@ -137,14 +101,13 @@ def average_server_path_length(
 def average_within_group_path_length(
     net: Network,
     groups: Sequence[Iterable[ServerId]],
-    distances: Optional[Tuple[np.ndarray, Dict[SwitchId, int]]] = None,
 ) -> float:
     """Average hop count over server pairs within each group (Fig. 6).
 
     Groups are aggregated by pair count (equal-size groups therefore get
     equal weight).  Singleton and empty groups contribute nothing.
     """
-    dist, idx = distances or switch_distances(net)
+    dist, idx = switch_distances(net)
     total_hops = 0.0
     total_pairs = 0.0
     for group in groups:

@@ -170,7 +170,7 @@ class TestLinkIndexCache:
         index = net.link_index()
         max_min_fair_rates(net, [RoutedFlow(1, p(0, 1, 2))])
         assert net.link_index() is index
-        assert index.capacity.size == 4
+        assert index.links.capacity.size == 4
 
 
 class TestErrorsMatchOracle:

@@ -136,7 +136,7 @@ class TestLawlerRule:
         monkeypatch.setattr(ksp, "heappop", pop)
         net = convert(FlatTree(FlatTreeDesign.for_fat_tree(6)),
                       Mode.GLOBAL_RANDOM)
-        ids = net.adjacency_index().ids
+        ids = net.link_index().switch_ids
         switches = sorted(net.switches(), key=repr)
         rng = random.Random(3)
         late_starts = 0

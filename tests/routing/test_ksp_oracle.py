@@ -122,14 +122,17 @@ def test_disconnected_fabric_raises():
 
 
 # ----------------------------------------------------------------------
-# the adjacency index cached on the network
+# the link index cached on the network
 # ----------------------------------------------------------------------
 def p(*indices: int) -> Path:
     return Path(tuple(PlainSwitch(i) for i in indices))
 
 
 class TestAdjacencyIndexCache:
-    """On ``path3``, the switch line 0 - 1 - 2."""
+    """KSP over the neighbor lists of ``Network.link_index()``.
+
+    On ``path3``, the switch line 0 - 1 - 2.
+    """
 
     def test_add_switch_between_calls_changes_the_answer(self, path3):
         net = path3
@@ -167,10 +170,10 @@ class TestAdjacencyIndexCache:
 
     def test_index_kept_while_the_fabric_is_unchanged(self, path3):
         net = path3
-        index = net.adjacency_index()
+        index = net.link_index()
         k_shortest_paths(net, PlainSwitch(0), PlainSwitch(2))
         net.add_server(2, PlainSwitch(1))
-        assert net.adjacency_index() is index
+        assert net.link_index() is index
         assert index.neighbors == [(1,), (0, 2), (1,)]
 
     def test_neighbors_follow_the_fabric_order(self):
@@ -186,6 +189,6 @@ class TestAdjacencyIndexCache:
             p(0, 1, 3)]
         net.remove_cable(nodes[1], nodes[3])
         net.add_cable(nodes[1], nodes[3])
-        assert net.adjacency_index().neighbors[3] == (2, 1)
+        assert net.link_index().neighbors[3] == (2, 1)
         got = k_shortest_paths(net, nodes[0], nodes[3], k=1)
         assert got == oracle(net, nodes[0], nodes[3], 1) == [p(0, 2, 3)]

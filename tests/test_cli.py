@@ -249,14 +249,34 @@ class TestUsage:
         (["schedule", "--k", "2"], "argument --k: must be an even k >= 4"),
         (["hybrid", "--k", "5"], "argument --k: must be an even k >= 4"),
         (["monitor", "--k", "5"], "argument --k: must be an even k >= 4"),
+        (["chaos", "--k", "4", "--rates", "1.5", "--trials", "1"],
+         "argument --rates: must be in [0, 1], got 1.5"),
+        (["degradation", "--k", "4", "--fractions", "1.5", "--draws", "1"],
+         "argument --fractions: must be in [0, 1), got 1.5"),
+        (["degradation", "--k", "4", "--fractions", "-0.1"],
+         "argument --fractions: must be in [0, 1), got -0.1"),
+        (["hybrid", "--k", "4", "--fractions", "2.0"],
+         "argument --fractions: must be in (0, 1), got 2.0"),
+        (["hybrid", "--k", "4", "--fractions", "0"],
+         "argument --fractions: must be in (0, 1), got 0.0"),
+        (["downscale", "--k", "4", "--floor", "1.5"],
+         "argument --floor: must be in (0, 1], got 1.5"),
+        (["heal", "--soak", "--flows", "-3"],
+         "argument --flows: must be >= 1, got -3"),
+        (["heal", "--regret", "--episodes", "-1", "--duration", "3"],
+         "argument --episodes: must be >= 0, got -1"),
     ], ids=["schedule-max-batch", "chaos-max-batch", "chaos-trials",
             "degradation-draws", "monitor-retention", "monitor-interval",
             "downscale-flows", "fct-monitor-flows", "fct-flows-zero",
             "fct-flows-negative", "convert-k-odd", "fig8-ks-odd",
             "cost-ks-zero", "schedule-k-two", "hybrid-k-odd",
-            "monitor-k-odd"])
+            "monitor-k-odd", "chaos-rates", "degradation-fractions-high",
+            "degradation-fractions-negative", "hybrid-fractions-high",
+            "hybrid-fractions-zero", "downscale-floor", "heal-soak-flows",
+            "heal-regret-episodes"])
     def test_out_of_range_number_exits_two(self, capsys, argv, message):
-        """Each of these ended in a traceback (exit 1)."""
+        """Each of these ended in a traceback (exit 1), except the negative
+        ``--episodes``, which ran as if no episode was asked for."""
         try:
             code = main(argv)
         except SystemExit as exc:

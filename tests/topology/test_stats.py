@@ -76,11 +76,19 @@ class TestAveragePathLength:
         with pytest.raises(TopologyError):
             average_server_path_length(net)
 
-    def test_precomputed_distances_reused(self, triangle):
-        cached = switch_distances(triangle)
-        assert average_server_path_length(
-            triangle, distances=cached
-        ) == pytest.approx(average_server_path_length(triangle))
+    def test_distances_cached_until_the_fabric_changes(self, triangle):
+        dist, idx = switch_distances(triangle)
+        assert average_server_path_length(triangle) == pytest.approx(3.0)
+        assert switch_distances(triangle)[0] is dist
+        assert not dist.flags.writeable
+        triangle.add_server(3, PlainSwitch(0))
+        assert switch_distances(triangle)[0] is dist
+        a, b = PlainSwitch(0), PlainSwitch(1)
+        triangle.remove_cable(a, b)
+        fresh, _idx = switch_distances(triangle)
+        assert fresh is not dist
+        assert dist[idx[a], idx[b]] == 1
+        assert fresh[idx[a], idx[b]] == 2
 
 
 class TestWithinGroups:

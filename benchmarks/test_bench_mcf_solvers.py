@@ -4,8 +4,8 @@ Times both solvers on the same Figure-7-style workload and checks that
 the approximation's certified throughput is a feasible lower bound on
 the LP optimum within (1 - ε) of it.  The FPTAS stops once its feasible
 λ is within (1 - ε) of its own weak-duality upper bound, which holds
-here; on all-to-all traffic λ / OPT measures 0.927 at k=14 (ε = 0.08,
-after 2 phases) and 0.925–0.992 at k=4–8 (ε = 0.1).  This is the
+here; on all-to-all traffic λ / OPT measures 0.937 at k=14 (ε = 0.08,
+after 2 phases) and 0.927–0.997 at k=4–8 (ε = 0.1).  This is the
 measurement behind DESIGN.md's solver dispatch threshold.
 """
 

@@ -8,9 +8,11 @@ weights FPTAS (Garg & Könemann 1998; Fleischer 2000):
 * every arc carries a length ``l(a)``, initialized to ``δ / cap(a)``;
 * in *phases*, each commodity group routes its full demand along
   successive shortest-path trees (by current lengths), bumping each
-  traversed arc's length by ``(1 + ε · sent / cap)``.  A tree's amounts
-  are scaled down so that no arc carries more than its capacity in one
-  tree, as in Fleischer's tree routing;
+  traversed arc's length by ``(1 + ε · sent / cap)``.  Each sink's
+  amount in a tree is divided by the worst load/capacity on its own
+  path, when that exceeds 1, so no arc carries more than its capacity
+  in one tree, as in Fleischer's tree routing, and a sink whose branch
+  has room sends all it may;
 * the textbook run ends once ``D(l) = Σ l(a)·cap(a) ≥ 1``.
 
 The solver returns a **certified interval** ``λ_lo ≤ λ* ≤ λ_hi``:
@@ -36,15 +38,17 @@ either of the last two, the interval still states the accuracy proven.
 
 Measured: on the benchmark's ``fptas_a2a`` instance (k = 14
 global-random flat-tree, all-to-all, ε = 0.08) the run stops at phase
-2 after 8,104 trees, with λ_lo = 0.927·λ* from the mix and λ_hi = λ*
-(the cut bound is tight there); the accumulated flow alone needs 4
-phases and 16,292 trees, and the textbook run took 93 phases and
-returned 0.805·λ*.  At ε = 0.1 all twelve Figure 8 weak-locality
-instances at k = 4–8 stop on the gap rule, after 1–30 phases, with
-λ_lo/λ* between 0.925 and 0.992 (``tests/mcf/test_approx.py`` pins the
-k = 4 and 6 ratios).  Where the dual bound stays loose the run is
-longer than the textbook one: on a k = 16 Figure 8 flat-tree instance
-λ_hi stays about 1.17·λ_lo, and the run ends at ``D(l) ≥ 1``
+2 after 5,908 trees, with λ_lo = 0.937·λ* from the mix and λ_hi = λ*
+(the cut bound is tight there).  Scaling every sink of a tree by the
+tree's worst overload took 8,104 trees to certify 0.927·λ*; with the
+accumulated flow alone it took 4 phases and 16,292 trees, and the
+textbook run took 93 phases and returned 0.805·λ*.  At ε = 0.1 all
+twelve Figure 8 weak-locality instances at k = 4–8 stop on the gap
+rule, after 1–29 phases, with λ_lo/λ* between 0.927 and 0.997
+(``tests/mcf/test_approx.py`` pins the k = 4 and 6 ratios, phases
+and trees).  Where the dual bound stays loose the run is longer than
+the textbook one: on a k = 16 Figure 8 flat-tree instance λ_hi stays
+about 1.17·λ_lo, and the run ends at ``D(l) ≥ 1``
 (docs/performance.md).
 
 Each Dijkstra tree costs a fixed number of numpy calls, however many
@@ -135,23 +139,27 @@ def solve_concurrent_approx(
                         obs.incr("mcf.approx.unreachable_sinks")
                         return MCFResult(throughput=0.0, method="approx-gk",
                                          upper_bound=0.0)
-                    owner, nodes, parent = tree
+                    owner, starts, nodes, parent = tree
                     slots = parent[nodes]
+                    cap = graph.cap[slots]
                     # Each sink sends min(remaining, path bottleneck).
-                    amount = remaining[live]
-                    np.minimum.at(amount, owner, graph.cap[slots])
+                    amount = np.minimum(remaining[live],
+                                        np.minimum.reduceat(cap, starts))
                     # Pairs run sink-major, so every arc adds its sinks'
                     # amounts in sink order, as a per-sink loop would.
                     sent = amount[owner]
                     load = np.bincount(nodes, sent, graph.num_nodes)
-                    heads = load.nonzero()[0]
-                    hit = parent[heads]
-                    # Cap the tree: no arc carries more than its capacity.
-                    sigma = float((load[heads] / graph.cap[hit]).max())
-                    if sigma > 1.0:
-                        amount /= sigma
+                    # Cap the tree: each sink's amount shrinks by the
+                    # worst overload on its own path, so no arc carries
+                    # more than its capacity, and a sink whose path has
+                    # room keeps its whole amount.
+                    sigma = np.maximum.reduceat(load[nodes] / cap, starts)
+                    if sigma.max() > 1.0:
+                        amount /= np.maximum(sigma, 1.0)
                         sent = amount[owner]
                         load = np.bincount(nodes, sent, graph.num_nodes)
+                    heads = load.nonzero()[0]
+                    hit = parent[heads]
                     routed[g_index][live] += amount
                     remaining[live] -= amount
                     np.add.at(flow, slots, sent)
@@ -384,15 +392,16 @@ class _SlotGraph:
 
     def shortest_path_tree(
         self, source: int, sinks: np.ndarray
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """One C Dijkstra from ``source``, and every sink's path in it.
 
-        Returns ``(owner, nodes, parent)``.  Pair ``j`` says tree node
-        ``nodes[j]`` lies on the path to ``sinks[owner[j]]``; the pairs
-        run sink-major, each path from its sink up to (not including)
-        the source.  ``parent[v]`` is the slot of node ``v``'s tree arc,
-        set only for the nodes on the sinks' paths.  None when a sink
-        is unreachable.
+        Returns ``(owner, starts, nodes, parent)``.  Pair ``j`` says
+        tree node ``nodes[j]`` lies on the path to ``sinks[owner[j]]``;
+        the pairs run sink-major, each path from its sink up to (not
+        including) the source, and sink ``t``'s pairs start at
+        ``starts[t]``.  ``parent[v]`` is the slot of node ``v``'s tree
+        arc, set only for the nodes on the sinks' paths.  None when a
+        sink is unreachable.
         """
         _, pred = self._dijkstra(self._matrix, directed=True,
                                  indices=source, return_predecessors=True)
@@ -409,11 +418,12 @@ class _SlotGraph:
         walk = np.array(levels).T.ravel()
         below = walk != source
         owner = below.nonzero()[0] // len(levels)
+        starts = np.searchsorted(owner, np.arange(sinks.size))
         nodes = walk[below]
         parent = self._parent
         parent[nodes] = np.searchsorted(self._slot_key,
                                         pred[nodes] * self._width + nodes)
-        return owner, nodes, parent
+        return owner, starts, nodes, parent
 
     def lengthen(
         self, hit: np.ndarray, sent: np.ndarray, epsilon: float

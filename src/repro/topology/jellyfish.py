@@ -187,7 +187,7 @@ def _absorb_with_swap(
     """Remove a random link (u, v) and add (w, u), (w, v)."""
     edges = [
         (u, v)
-        for u, v in net.fabric.edges()
+        for u, v, _cap in net.edge_list()
         if w not in (u, v)
         and not net.fabric.has_edge(w, u)
         and not net.fabric.has_edge(w, v)
@@ -216,7 +216,7 @@ def _cross_swap(
     """
     edges = [
         (x, y)
-        for x, y in net.fabric.edges()
+        for x, y, _cap in net.edge_list()
         if u not in (x, y)
         and v not in (x, y)
         and not net.fabric.has_edge(u, x)

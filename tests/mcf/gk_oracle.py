@@ -8,6 +8,12 @@ mix of whole phases, ``PhaseMix``, are shared with the solver.
 ``test_approx_oracle.py`` checks that the vectorized solver returns
 exactly the same λ, upper bound, phase count and tree count on every
 instance it draws, and hands both the same arrays.
+
+Each path's amount is divided by the worst load/capacity over that
+path, when it exceeds 1.  Tree by tree the oracle asserts the two facts
+that rule rests on: no arc carries more than its capacity (relative
+1e-12), and a sink whose path has no overloaded arc sends
+min(remaining, bottleneck), unscaled.
 """
 
 from __future__ import annotations
@@ -89,16 +95,22 @@ def solve_concurrent_approx_oracle(
                         amount = min(float(remaining[sink_pos]), bottleneck)
                         load[path_arcs] += amount
                         paths.append((sink_pos, path_arcs, amount))
-                    # Scale the tree so that no arc exceeds its capacity.
-                    sigma = float((load / cap).max())
+                    # Scale each path by the worst overload on it, so
+                    # that no arc exceeds its capacity.
                     bump_amount = np.zeros(num_arcs)
-                    for sink_pos, path_arcs, amount in paths:
-                        if sigma > 1.0:
-                            amount /= sigma
+                    for sink_pos, path_arcs, full in paths:
+                        sigma = float((load[path_arcs]
+                                       / cap[path_arcs]).max())
+                        amount = full / sigma if sigma > 1.0 else full
+                        if (load[path_arcs] <= cap[path_arcs]).all():
+                            # A path with room sends all it may.
+                            assert amount == full
                         flow[path_arcs] += amount
                         bump_amount[path_arcs] += amount
                         routed[g_index][sink_pos] += amount
                         remaining[sink_pos] -= amount
+                    # The tree fits every arc it crosses.
+                    assert (bump_amount <= cap * (1 + 1e-12)).all()
                     bump = 1.0 + epsilon * bump_amount / cap
                     d_value += float((lengths * (bump - 1.0) * cap).sum())
                     lengths *= bump

@@ -37,6 +37,9 @@ from repro.topology.jellyfish import build_jellyfish_like_fat_tree
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
+COUNTERS = ("mcf.approx.phases", "mcf.approx.dijkstra_calls",
+            "mcf.approx.gap_stops")
+
 
 class TestBasics:
     def test_epsilon_validated(self, triangle):
@@ -105,18 +108,18 @@ class TestAgainstExact:
         assert approx <= exact + 1e-9
         assert approx >= 0.9 * exact
 
-    #: λ_approx / λ_exact at ε = 0.1 on the Figure 8 weak-locality
-    #: all-to-all workload (seed 0), per topology and k.  Every run stops
-    #: on the gap rule, so each ratio is at least 1 - ε.
+    #: (λ_approx / λ_exact, phases, trees) at ε = 0.1 on the Figure 8
+    #: weak-locality all-to-all workload (seed 0), per topology and k.
+    #: Every run stops on the gap rule, so each ratio is at least 1 - ε.
     FIG8_RATIOS = {
-        ("fat-tree", 4): 0.9876543209876555,
-        ("flat-tree", 4): 0.9249286806694681,
-        ("two-stage", 4): 0.9615073612452775,
-        ("random graph", 4): 0.9886881941932605,
-        ("fat-tree", 6): 0.9836598650516216,
-        ("flat-tree", 6): 0.9730975739989924,
-        ("two-stage", 6): 0.9916411797533439,
-        ("random graph", 6): 0.9596529649898261,
+        ("fat-tree", 4): (0.9969820081463415, 1, 234),
+        ("flat-tree", 4): (0.9272400701257194, 1, 159),
+        ("two-stage", 4): (0.9644611503814359, 5, 885),
+        ("random graph", 4): (0.9867256168819121, 3, 527),
+        ("fat-tree", 6): (0.9785351489263389, 1, 403),
+        ("flat-tree", 6): (0.9751406097110451, 3, 775),
+        ("two-stage", 6): (0.9917051815176455, 29, 9816),
+        ("random graph", 6): (0.9669233670964845, 5, 1276),
     }
 
     @pytest.mark.parametrize("topology,k", sorted(FIG8_RATIOS))
@@ -130,17 +133,19 @@ class TestAgainstExact:
             net = baseline_networks(k, 0)[topology]
         problem = build_flow_problem(net, workload)
         exact = solve_concurrent_exact(problem).throughput
-        approx = solve_concurrent_approx(problem, epsilon=0.1).throughput
+        result, moved = counted(solve_concurrent_approx, problem,
+                                COUNTERS, epsilon=0.1)
+        approx = result.throughput
+        ratio, phases, trees = self.FIG8_RATIOS[(topology, k)]
         assert approx <= exact * (1 + 1e-9)
         assert approx >= (1 - 0.1) * exact
-        assert approx / exact == pytest.approx(
-            self.FIG8_RATIOS[(topology, k)], rel=1e-9)
+        assert approx / exact == pytest.approx(ratio, rel=1e-9)
+        assert moved == {"mcf.approx.phases": phases,
+                         "mcf.approx.dijkstra_calls": trees,
+                         "mcf.approx.gap_stops": 1}
 
 
 class TestInterval:
-    COUNTERS = ("mcf.approx.phases", "mcf.approx.dijkstra_calls",
-                "mcf.approx.gap_stops")
-
     @settings(max_examples=25)
     @given(
         kind=st.sampled_from(TOPOLOGIES),
@@ -162,7 +167,7 @@ class TestInterval:
         assert exact.upper_bound == exact.throughput
         lam = exact.throughput
         result, moved = counted(solve_concurrent_approx, problem,
-                                self.COUNTERS, epsilon=epsilon)
+                                COUNTERS, epsilon=epsilon)
         assert 0 < result.throughput <= lam * (1 + 1e-9)
         assert lam <= result.upper_bound * (1 + 1e-9)
         if not moved["mcf.approx.gap_stops"]:
@@ -171,7 +176,7 @@ class TestInterval:
         phases = int(moved["mcf.approx.phases"])
         if phases > 1:
             early, early_moved = counted(
-                solve_concurrent_approx, problem, self.COUNTERS,
+                solve_concurrent_approx, problem, COUNTERS,
                 epsilon=epsilon, max_phases=phases - 1)
             assert not early_moved["mcf.approx.gap_stops"]
             assert early.throughput < (1 - epsilon) * early.upper_bound
@@ -189,12 +194,33 @@ class TestInterval:
                                 np.array([5.0, 5.0]))],
         )
         result, moved = counted(solve_concurrent_approx, problem,
-                                self.COUNTERS, epsilon=0.1)
+                                COUNTERS, epsilon=0.1)
         assert moved == {"mcf.approx.phases": 1,
                          "mcf.approx.dijkstra_calls": 10,
                          "mcf.approx.gap_stops": 1}
         assert result.throughput == pytest.approx(0.1, rel=1e-12)
         assert result.upper_bound == pytest.approx(0.1, rel=1e-12)
+
+    def test_a_branch_with_room_is_not_scaled(self):
+        """Sinks 1 and 2 share arc 0→1 and are scaled by 1/2; sink 3's
+        own branch has room, so it sends its bottleneck of 2 in each
+        tree.  The group takes two trees; scaling the whole first tree
+        by 1/2 would take three."""
+        problem = FlowProblem(
+            num_nodes=4,
+            arc_src=np.array([0, 1, 1, 2, 0, 3], dtype=np.int32),
+            arc_dst=np.array([1, 0, 2, 1, 3, 0], dtype=np.int32),
+            arc_cap=np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0]),
+            groups=[DemandGroup(0, np.array([1, 2, 3], dtype=np.int32),
+                                np.array([1.0, 1.0, 4.0]))],
+        )
+        result, moved = counted(solve_concurrent_approx, problem,
+                                COUNTERS, epsilon=0.1)
+        assert moved == {"mcf.approx.phases": 1,
+                         "mcf.approx.dijkstra_calls": 2,
+                         "mcf.approx.gap_stops": 1}
+        assert result.throughput == pytest.approx(0.5, rel=1e-12)
+        assert result.upper_bound == pytest.approx(0.5, rel=1e-12)
 
 
 class TestPhaseMix:

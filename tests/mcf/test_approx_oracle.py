@@ -8,7 +8,9 @@ compared with ``==``, and the ``mcf.approx.phases``,
 ``mcf.approx.dijkstra_calls`` and ``mcf.approx.mix_wins`` counters
 must move by the same amounts.  The instances use fractional demands
 and capacities above 1, where a different summation order would show
-in the last bits.
+in the last bits.  The oracle also asserts, tree by tree, that no arc
+carries more than its capacity and that a sink whose path has room is
+not scaled, so every instance drawn here checks both.
 """
 
 from __future__ import annotations

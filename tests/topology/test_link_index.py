@@ -1,12 +1,12 @@
 """``Network.link_index()``: the one integer form of a fabric.
 
-Every view is checked against a fresh derivation from ``edge_list()``
-and ``fabric``, written here the way the flow LPs, the path-length
-metrics, the max-flow helpers and KSP once each walked the fabric
-themselves.  Fabrics lose random cables, get some back (a re-plugged
-cable moves to the end of its switches' neighbor order) and gain a
-switch, and each of those calls must drop the index while a server
-move keeps it.
+Every view, and ``edge_list()`` itself, is checked against a fresh
+derivation from networkx's own walks of ``fabric``, written here the
+way the flow LPs, the path-length metrics, the max-flow helpers and
+KSP once each walked the fabric themselves.  Fabrics lose random
+cables, get some back (a re-plugged cable moves to the end of its
+switches' neighbor order) and gain a switch, and each of those calls
+must drop the index while a server move keeps it.
 """
 
 from __future__ import annotations
@@ -46,7 +46,12 @@ def network(kind: str, k: int) -> Network:
 def assert_views_match_the_fabric(net: Network) -> None:
     ids = {s: i for i, s in enumerate(net.switches())}
     tail, head, capacity, link_ids = [], [], [], {}
-    for u, v, cap in net.edge_list():
+    edges = [(u, v, data["capacity"])
+             for u, v, data in net.fabric.edges(data=True)]
+    assert net.edge_list() == edges
+    assert net.num_cables == sum(mult for _u, _v, mult
+                                 in net.fabric.edges(data="mult"))
+    for u, v, cap in edges:
         link_ids[(u, v)] = len(tail)
         link_ids[(v, u)] = len(tail) + 1
         tail += (ids[u], ids[v])
@@ -150,15 +155,22 @@ def _build_every_view(net: Network) -> None:
 
 
 def test_a_network_is_freed_without_the_cycle_collector():
-    """The index holds the fabric graph, not its network: a network no
-    longer referenced is freed at once, index and views with it."""
+    """The index holds the fabric graph, not its network, and the edge
+    reads never touch networkx's cached edge view, which holds its
+    graph: a network no longer referenced is freed at once, fabric,
+    index and views with it.  Jellyfish seeds 0 and 4 at k=4 run the
+    builder's two repair swaps, which walk every edge."""
     net = convert(FlatTree(FlatTreeDesign.for_fat_tree(4)),
                   Mode.GLOBAL_RANDOM)
     _build_every_view(net)
-    alive = weakref.ref(net)
+    assert net.copy().num_cables == net.num_cables
+    jellyfish = [build_jellyfish_like_fat_tree(4, random.Random(seed))
+                 for seed in (0, 4)]
+    alive = [weakref.ref(net), weakref.ref(net.fabric),
+             *(weakref.ref(j.fabric) for j in jellyfish)]
     gc.disable()
     try:
-        del net
-        assert alive() is None
+        del net, jellyfish
+        assert [ref() for ref in alive] == [None] * len(alive)
     finally:
         gc.enable()

@@ -71,7 +71,7 @@ trend-smoke:
 	$(PYTHON) -m tools.perfreport trend --out TREND_REPORT.json
 	test -s TREND_REPORT.json
 
-# Static analysis: the domain-aware flatlint pass (FT001-FT007, incl.
+# Static analysis: the domain-aware flatlint pass (FT001-FT008, incl.
 # the whole-program concurrency-safety and determinism-taint analyses;
 # see docs/static-analysis.md) plus the mypy typing gate configured in
 # pyproject.toml.  mypy is skipped with a notice when not installed

@@ -153,29 +153,31 @@ class Controller:
     def _commit(
         self, target: Mapping[ConverterId, ConverterConfig]
     ) -> ReconfigurationPlan:
-        """Plan ``target`` and commit it; the network is rebuilt on use."""
-        plan = self._plan(target)
-        self.flattree.set_configs(target)
+        """Commit ``target`` and plan it; the network is rebuilt on use."""
+        plan = self._plan(self.flattree.set_configs(target))
         self._network = None
         self._route_cache.clear()
         self.last_plan = plan
         return plan
 
     def _plan(
-        self, target: Mapping[ConverterId, ConverterConfig]
+        self,
+        changes: Mapping[ConverterId, Tuple[ConverterConfig, ConverterConfig]],
     ) -> ReconfigurationPlan:
-        """The plan to reach ``target``, read from the circuit table.
+        """The plan for validated ``changes``, read from the circuit table.
 
-        No network is built.  Each scheduling unit's circuits are walked
-        under the current and the target configurations, under the
-        active plant failures: a cable only the current ones realize
+        ``changes`` maps each re-programmed converter to its current and
+        target configurations, as :meth:`FlatTree.diff_configs` gives
+        them.  No network is built.  Each scheduling unit's circuits are
+        walked under the current and the target configurations, under
+        the active plant failures: a cable only the current ones realize
         goes dark, one only the target realizes comes up, and a server
         attached under both to different switches moves.  A server the
         target strands is not moved; the served network omits it.
         """
         ft = self.flattree
-        changes = ft.diff_configs(target)
-        current = ft.configs()
+        current = {cid: old for cid, (old, _new) in changes.items()}
+        target = {cid: new for cid, (_old, new) in changes.items()}
         rank = self._rank
 
         def by_rank(cable: Tuple[SwitchId, SwitchId]) -> Tuple[int, int]:
@@ -223,7 +225,7 @@ class Controller:
         obs.incr("core.controller.links_added", len(added))
         obs.incr("core.controller.servers_moved", len(moved))
         return ReconfigurationPlan(
-            config_changes=changes,
+            config_changes=dict(changes),
             links_removed=removed,
             links_added=added,
             # Server ids ascend in converter order, the order servers
@@ -269,7 +271,7 @@ class Controller:
         modes = sorted({m.value for m in layout.pod_modes().values()})
         with obs.span("execute_layout", modes=",".join(modes)):
             target = hybrid_configs(self.flattree, layout.pod_modes())
-            plan = self._plan(target)
+            plan = self._plan(self.flattree.diff_configs(target))
             report = execute(
                 self.flattree,
                 plan,

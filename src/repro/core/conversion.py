@@ -112,10 +112,8 @@ def convert(
         assignment = hybrid_configs(ft, pod_modes)
         default_name = "flat-tree[hybrid]"
     with obs.span("convert", mode=mode.value if mode else "hybrid"):
-        if obs.enabled():
-            obs.incr("core.conversion.converts")
-            obs.incr("core.conversion.reprogrammed",
-                     len(ft.diff_configs(assignment)))
-        ft.set_configs(assignment)
+        changes = ft.set_configs(assignment)
+        obs.incr("core.conversion.converts")
+        obs.incr("core.conversion.reprogrammed", len(changes))
         with obs.timer("core.conversion.materialize_s"):
             return ft.materialize(name=name or default_name)

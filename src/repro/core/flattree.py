@@ -59,6 +59,13 @@ class FlatTree:
         #: bipartite, then the direct aggregation-core cables.
         self._static_cables: List[Tuple[SwitchId, SwitchId]] = []
         self._direct_attaches: List[Tuple[int, SwitchId]] = []
+        #: :meth:`circuits` without failures, per converter and config
+        #: and per side pair and its two configs.
+        self._own_circuits: Dict[Tuple[ConverterId, ConverterConfig],
+                                 Tuple[RealizedLink, ...]] = {}
+        self._pair_circuits: Dict[
+            Tuple[ConverterId, ConverterId, ConverterConfig, ConverterConfig],
+            Tuple[RealizedLink, ...]] = {}
         self._build_plant()
 
     # ------------------------------------------------------------------
@@ -129,17 +136,19 @@ class FlatTree:
 
     def set_configs(
         self, assignment: Mapping[ConverterId, ConverterConfig]
-    ) -> None:
-        """Apply a (partial) configuration assignment.
+    ) -> Dict[ConverterId, Tuple[ConverterConfig, ConverterConfig]]:
+        """Apply a (partial) configuration assignment; return what changed.
 
         Every referenced converter must accept its new configuration and
         — after the whole assignment is applied — every side bundle must
         be consistent (both ends side, both ends cross, or both dark).
-        The assignment is validated before any state changes.
+        The assignment is validated before any state changes.  Returns
+        what :meth:`diff_configs` returned for it just before.
         """
-        self._staged(assignment)
-        for cid, config in assignment.items():
+        changes = self.diff_configs(assignment)
+        for cid, (_current, config) in changes.items():
             self.converters[cid].config = config
+        return changes
 
     def _staged(
         self, assignment: Mapping[ConverterId, ConverterConfig]
@@ -218,19 +227,37 @@ class FlatTree:
         :data:`~repro.core.converter.CIRCUITS` order, under ``configs``
         (a map naming every converter involved).  Under ``failures``
         circuits over dead legs or switches and dead cables are dropped.
+        Without failures each converter's and each side pair's circuits
+        under a configuration are built once and kept: the wiring never
+        changes.
         """
-        links = [link for cid in converters
-                 for link in self.converters[cid].own_links(configs[cid],
-                                                            failures)]
+        links: List[RealizedLink] = []
+        if failures is not None:
+            for cid in converters:
+                links += self.converters[cid].own_links(configs[cid], failures)
+            for left, right in pairs:
+                links += pair_links(self.converters[left],
+                                    self.converters[right], configs, failures)
+            # An attachment names its server by int id; every other link
+            # is a cable between two switches.
+            return [link for link in links if isinstance(link[1], int)
+                    or not failures.cable_dead(link[1], link[2])]
+        own, paired = self._own_circuits, self._pair_circuits
+        for cid in converters:
+            config = configs[cid]
+            circuits = own.get((cid, config))
+            if circuits is None:
+                circuits = own[cid, config] = tuple(
+                    self.converters[cid].own_links(config))
+            links += circuits
         for left, right in pairs:
-            links += pair_links(self.converters[left],
-                                self.converters[right], configs, failures)
-        if failures is None:
-            return links
-        # An attachment names its server by int id; every other link is
-        # a cable between two switches.
-        return [link for link in links if isinstance(link[1], int)
-                or not failures.cable_dead(link[1], link[2])]
+            key = (left, right, configs[left], configs[right])
+            circuits = paired.get(key)
+            if circuits is None:
+                circuits = paired[key] = tuple(pair_links(
+                    self.converters[left], self.converters[right], configs))
+            links += circuits
+        return links
 
     # ------------------------------------------------------------------
     # conveniences

@@ -196,11 +196,11 @@ class TwoStageFlatTree:
         for switch in upper_net.switches():
             net.add_switch(_lift(switch), upper_net.ports(switch))
 
-        for u, v, data in lower_net.fabric.edges(data=True):
-            for _ in range(data["mult"]):
+        for u, v, _capacity, mult in lower_net.bundles():
+            for _ in range(mult):
                 net.add_cable(*self._resolve_pair(u, v, attach))
-        for u, v, data in upper_net.fabric.edges(data=True):
-            for _ in range(data["mult"]):
+        for u, v, _capacity, mult in upper_net.bundles():
+            for _ in range(mult):
                 net.add_cable(_lift(u), _lift(v))
 
         for server in lower_net.servers():

@@ -36,8 +36,8 @@ def degrade(net: Network, fraction: float, rng: random.Random) -> Network:
         raise ReproError(f"failure fraction {fraction} out of [0, 1)")
     clone = net.copy()
     cables: List = []
-    for u, v, data in clone.fabric.edges(data=True):
-        cables.extend([(u, v)] * data["mult"])
+    for u, v, _capacity, mult in clone.bundles():
+        cables.extend([(u, v)] * mult)
     kill = rng.sample(cables, int(round(fraction * len(cables))))
     for u, v in kill:
         clone.remove_cable(u, v)

@@ -50,15 +50,17 @@ class SdnProgram:
 
     def _install(self, path: Path, path_id: int) -> None:
         key = (path.src, path.dst, path_id)
+        rules = self.rules
         for here, nxt in path.edges():
-            switch_rules = self.rules.setdefault(here, {})
-            existing = switch_rules.get(key)
-            if existing is not None and existing != nxt:
+            switch_rules = rules.get(here)
+            if switch_rules is None:
+                switch_rules = rules[here] = {}
+            existing = switch_rules.setdefault(key, nxt)
+            if existing != nxt:
                 raise RoutingError(
                     f"rule conflict at {here!r} for {key}: "
                     f"{existing!r} vs {nxt!r}"
                 )
-            switch_rules[key] = nxt
 
     def forward(
         self, src: SwitchId, dst: SwitchId, path_id: int = 0

@@ -245,7 +245,22 @@ class Network:
     @property
     def num_cables(self) -> int:
         """Physical cable count (parallel cables counted individually)."""
-        return sum(d["mult"] for _, _, d in _edges(self._fabric))
+        return sum(mult for _u, _v, _capacity, mult in self.bundles())
+
+    def bundles(self) -> Iterator[Tuple[SwitchId, SwitchId, float, int]]:
+        """Each fabric edge once as ``(u, v, capacity, mult)``.
+
+        An edge comes from its earlier switch, in networkx's edge order.
+        ``fabric.edges`` yields the same, but networkx caches that view
+        on the graph and the view holds the graph, so a fabric read
+        through it outlives its network until the cycle collector runs.
+        """
+        seen = set()
+        for u, nbrs in self._fabric.adjacency():
+            for v, data in nbrs.items():
+                if v not in seen:
+                    yield u, v, data["capacity"], data["mult"]
+            seen.add(u)
 
     def capacity(self, u: SwitchId, v: SwitchId) -> float:
         """Total capacity of the bundle between ``u`` and ``v`` (0 if none)."""
@@ -279,16 +294,16 @@ class Network:
         clone = Network(self.name)
         for s, p in self._ports.items():
             clone.add_switch(s, p)
-        for u, v, d in _edges(self._fabric):
-            for _ in range(d["mult"]):
-                clone.add_cable(u, v, capacity=d["capacity"] / d["mult"])
+        for u, v, capacity, mult in self.bundles():
+            for _ in range(mult):
+                clone.add_cable(u, v, capacity=capacity / mult)
         for server, switch in self._server_loc.items():
             clone.add_server(server, switch)
         return clone
 
     def edge_list(self) -> List[Tuple[SwitchId, SwitchId, float]]:
         """All fabric edges as ``(u, v, capacity)`` tuples."""
-        return [(u, v, d["capacity"]) for u, v, d in _edges(self._fabric)]
+        return [(u, v, capacity) for u, v, capacity, _mult in self.bundles()]
 
     def link_index(self) -> "LinkIndex":
         """The integer form of the current fabric.
@@ -305,21 +320,6 @@ class Network:
             f"<Network {self.name!r}: {self.num_switches} switches, "
             f"{self.num_servers} servers, {self.num_cables} cables>"
         )
-
-
-def _edges(fabric: nx.Graph) -> Iterator[Tuple[SwitchId, SwitchId, dict]]:
-    """Each fabric edge once, from its earlier switch, in networkx's order.
-
-    ``fabric.edges`` yields the same, but networkx caches that view on
-    the graph and the view holds the graph, so a fabric read through it
-    outlives its network until the cycle collector runs.
-    """
-    seen = set()
-    for u, nbrs in fabric.adjacency():
-        for v, data in nbrs.items():
-            if v not in seen:
-                yield u, v, data
-        seen.add(u)
 
 
 class Links(NamedTuple):

@@ -49,8 +49,8 @@ def to_dot(net: Network, include_servers: bool = False) -> str:
         lines.append(
             f'  {_node_id(switch)} [label="{_node_id(switch)}" {style}];'
         )
-    for u, v, data in net.fabric.edges(data=True):
-        attr = f' [penwidth={data["mult"]}]' if data["mult"] > 1 else ""
+    for u, v, _capacity, mult in net.bundles():
+        attr = f" [penwidth={mult}]" if mult > 1 else ""
         lines.append(f"  {_node_id(u)} -- {_node_id(v)}{attr};")
     if include_servers:
         for server in sorted(net.servers()):
@@ -95,10 +95,10 @@ def to_json_dict(net: Network) -> Dict:
             {
                 "u": _switch_to_json(u),
                 "v": _switch_to_json(v),
-                "mult": data["mult"],
-                "capacity": data["capacity"],
+                "mult": mult,
+                "capacity": capacity,
             }
-            for u, v, data in net.fabric.edges(data=True)
+            for u, v, capacity, mult in net.bundles()
         ],
         "servers": {
             str(server): _switch_to_json(net.server_switch(server))

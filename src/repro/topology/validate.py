@@ -60,9 +60,9 @@ def audit(net: Network, require_connected: bool = True) -> AuditReport:
 def _recount_ports(net: Network) -> Dict:
     """Recompute port usage from cables + servers, ignoring the ledger."""
     counts: Dict = {s: 0 for s in net.switches()}
-    for u, v, d in net.fabric.edges(data=True):
-        counts[u] += d["mult"]
-        counts[v] += d["mult"]
+    for u, v, _capacity, mult in net.bundles():
+        counts[u] += mult
+        counts[v] += mult
     for server in net.servers():
         counts[net.server_switch(server)] += 1
     return counts

@@ -1,4 +1,4 @@
-"""Reference network builders: the two that ``FlatTree.materialize`` replaced.
+"""Reference network builders: those that ``FlatTree.materialize`` replaced.
 
 ``materialize`` is the former healthy builder (``FlatTree.materialize``)
 and ``materialize_with_failures`` the former degraded one, kept
@@ -7,13 +7,23 @@ its own circuit tables, so the property test in
 ``tests/core/test_materialize_oracle.py`` compares the one builder
 against code that shares nothing with it but the plant.
 Both realize the plant's *current* converter configurations.
+
+``materialize_fresh`` is the one builder as it was before the plant
+kept its circuits: it builds them anew on every call
+(``fresh_circuits``).  ``tests/core/test_circuit_memo.py`` holds the
+builder over kept circuits to it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.converter import PAIRED_CONFIGS, ConverterConfig, Leg
+from repro.core.converter import (
+    PAIRED_CONFIGS,
+    ConverterConfig,
+    Leg,
+    pair_links,
+)
 from repro.core.failures import FailureSet
 from repro.errors import ConfigurationError
 from repro.topology.clos import add_clos_switches, add_intra_pod_bipartite
@@ -229,3 +239,45 @@ def _apply(net: Network, link, failures: FailureSet) -> None:
             net.add_cable(a, b)
     else:
         net.add_server(a, b)
+
+
+def fresh_circuits(ft, configs, converters, pairs=(),
+                   failures: Optional[FailureSet] = None) -> List:
+    """``FlatTree.circuits`` as it was before it kept its circuits."""
+    links = [link for cid in converters
+             for link in ft.converters[cid].own_links(configs[cid], failures)]
+    for left, right in pairs:
+        links += pair_links(ft.converters[left], ft.converters[right],
+                            configs, failures)
+    if failures is None:
+        return links
+    return [link for link in links if isinstance(link[1], int)
+            or not failures.cable_dead(link[1], link[2])]
+
+
+def materialize_fresh(ft, assignment=None,
+                      failures: Optional[FailureSet] = None,
+                      name: Optional[str] = None) -> Network:
+    """``FlatTree.materialize`` over circuits built anew."""
+    configs = ft.configs() if assignment is None else ft._staged(assignment)
+    dead: frozenset = frozenset()
+    if failures is not None:
+        failures.validate(ft)
+        dead = failures.switches
+    cables = list(ft._static_cables)
+    servers = list(ft._direct_attaches)
+    for tag, a, b in fresh_circuits(ft, configs, ft.converters, ft.pairs,
+                                    failures):
+        (cables if tag == "cable" else servers).append((a, b))
+    net = Network(name or (f"flat-tree({ft.params.pods} pods)"
+                           if failures is None else "flat-tree[degraded]"))
+    for switch, ports in ft.switches.items():
+        if switch not in dead:
+            net.add_switch(switch, ports)
+    for u, v in cables:
+        if failures is None or not failures.cable_dead(u, v):
+            net.add_cable(u, v)
+    for server, switch in servers:
+        if switch not in dead:
+            net.add_server(server, switch)
+    return net

@@ -5,7 +5,9 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
+from itertools import islice
 
+import networkx as nx
 import pytest
 
 from repro import obs
@@ -163,3 +165,84 @@ class TestLawlerRule:
             # No spur loop runs after the k-th path.
             assert not expected or len(paths) == 8
         assert late_starts > 0
+
+
+class TestEarlyExit:
+    """No path still to find is shorter than the last one found, and a
+    later candidate loses the push-order tie, so once the queue holds
+    the missing paths at the last path's length they are the answer."""
+
+    K = 8
+
+    @pytest.fixture()
+    def log(self, monkeypatch):
+        entries = []
+        bfs = ksp._bidirectional_bfs
+
+        def spur(neighbors, s, *args):
+            entries.append(("spur", s))
+            return bfs(neighbors, s, *args)
+
+        def push(queue, entry):
+            entries.append(("push", entry))
+            heapq.heappush(queue, entry)
+
+        def pop(queue):
+            entry = heapq.heappop(queue)
+            entries.append(("pop", entry))
+            return entry
+
+        monkeypatch.setattr(ksp, "_bidirectional_bfs", spur)
+        monkeypatch.setattr(ksp, "heappush", push)
+        monkeypatch.setattr(ksp, "heappop", pop)
+        return entries
+
+    def replay(self, log, first: int):
+        """Walk a run's log from its first path's length ``first``:
+        no spur search may run once the queue holds the missing paths
+        at the last popped length.  Returns how many paths the loop
+        found, the first included, and whether it stopped on that rule."""
+        assert log[0][0] == "spur"  # the search for the first path
+        found, length, queued = 1, first, []
+        for kind, item in log[1:]:
+            if kind == "spur":
+                assert queued.count(length) < self.K - found
+            elif kind == "push":
+                queued.append(item[0])
+            else:
+                queued.remove(item[0])
+                found, length = found + 1, item[0]
+        return found, queued.count(length) >= self.K - found
+
+    def oracle(self, net, src, dst):
+        return [tuple(p) for p in islice(
+            nx.shortest_simple_paths(net.fabric, src, dst), self.K)]
+
+    def test_no_spur_search_once_the_rest_is_queued(self, log):
+        """An inter-pod pair of a Clos-mode k=8 flat-tree has 16 equal
+        shortest paths: Yen finds 4 and takes the other 4 from the
+        queue, after 14 searches where the whole loop makes 26."""
+        net = convert(FlatTree(FlatTreeDesign.for_fat_tree(8)), Mode.CLOS)
+        src, dst = EdgeSwitch(0, 0), EdgeSwitch(5, 2)
+        assert len(list(nx.all_shortest_paths(net.fabric, src, dst))) == 16
+        paths = k_shortest_paths(net, src, dst, k=self.K)
+        assert [p.nodes for p in paths] == self.oracle(net, src, dst)
+        found, stopped = self.replay(log, len(paths[0].nodes))
+        assert stopped and found == 4
+        assert sum(kind == "spur" for kind, _ in log) == 14
+
+    def test_random_pairs_match_networkx_and_stop_early(self, log):
+        net = convert(FlatTree(FlatTreeDesign.for_fat_tree(6)),
+                      Mode.GLOBAL_RANDOM)
+        switches = sorted(net.switches(), key=repr)
+        rng = random.Random(5)
+        stops = 0
+        for _ in range(40):
+            src, dst = rng.sample(switches, 2)
+            log.clear()
+            paths = k_shortest_paths(net, src, dst, k=self.K)
+            assert [p.nodes for p in paths] == self.oracle(net, src, dst)
+            found, stopped = self.replay(log, len(paths[0].nodes))
+            assert stopped or found == len(paths)
+            stops += stopped
+        assert stops > 0

@@ -684,6 +684,106 @@ class TestFT007DeterminismTaint:
         assert findings == []
 
 
+class TestFT008FabricViews:
+    def test_edges_on_a_network_fabric_fires(self, tmp_path):
+        findings = lint_snippet(tmp_path, "src/repro/topology/bad.py", """\
+            def cables(net):
+                return [(u, v) for u, v, d in net.fabric.edges(data=True)]
+            """)
+        assert codes(findings) == ["FT008"]
+        assert "Network.bundles()" in findings[0].message
+
+    def test_degree_on_the_private_fabric_fires(self, tmp_path):
+        findings = lint_snippet(tmp_path, "src/repro/topology/bad.py", """\
+            class Net:
+                def busiest(self):
+                    return max(self._fabric.degree, key=lambda nd: nd[1])
+            """)
+        assert codes(findings) == ["FT008"]
+
+    def test_a_name_bound_to_a_fabric_fires(self, tmp_path):
+        findings = lint_snippet(tmp_path, "src/repro/core/bad.py", """\
+            def count(net):
+                graph = net.fabric
+                return len(graph.edges)
+            """)
+        assert codes(findings) == ["FT008"]
+
+    def test_an_annotated_alias_fires(self, tmp_path):
+        findings = lint_snippet(tmp_path, "src/repro/core/bad.py", """\
+            def count(net):
+                graph: nx.Graph = net.fabric
+                return len(graph.edges)
+            """)
+        assert codes(findings) == ["FT008"]
+
+    def test_an_attribute_alias_fires_across_methods(self, tmp_path):
+        findings = lint_snippet(tmp_path, "src/repro/core/bad.py", """\
+            class Holder:
+                def __init__(self, net):
+                    self.graph = net.fabric
+
+                def busiest(self):
+                    return max(self.graph.degree, key=lambda nd: nd[1])
+            """)
+        assert codes(findings) == ["FT008"]
+
+    def test_an_alias_holds_only_where_it_is_assigned(self, tmp_path):
+        findings = lint_snippet(tmp_path, "src/repro/core/ok.py", """\
+            def walk(net):
+                g = net.fabric
+                return list(g.adjacency())
+
+            def hops(path):
+                g = path
+                return len(g.edges())
+
+            class Other:
+                def __init__(self, net):
+                    self.graph = net.fabric
+
+            class Path:
+                def hops(self):
+                    return len(self.graph.edges())
+            """)
+        assert findings == []
+
+    def test_an_alias_reaches_a_nested_function(self, tmp_path):
+        findings = lint_snippet(tmp_path, "src/repro/core/bad.py", """\
+            def count(net):
+                g = net.fabric
+
+                def inner():
+                    return len(g.edges)
+                return inner()
+            """)
+        assert codes(findings) == ["FT008"]
+
+    def test_bundles_adjacency_and_network_degree_are_clean(self, tmp_path):
+        findings = lint_snippet(tmp_path, "src/repro/topology/ok.py", """\
+            def cables(net):
+                out = [(u, v) for u, v, _cap, _mult in net.bundles()]
+                for u, nbrs in net.fabric.adjacency():
+                    out.append((u, len(nbrs), net.degree(u)))
+                return out, path.edges()
+            """)
+        assert findings == []
+
+    def test_tests_are_exempt(self, tmp_path):
+        findings = lint_snippet(tmp_path, "tests/test_oracle.py", """\
+            def expected(net):
+                return set(net.fabric.edges())
+            """)
+        assert findings == []
+
+    def test_suppression_silences_it(self, tmp_path):
+        findings = lint_snippet(tmp_path, "src/repro/topology/bad.py", """\
+            def cables(net):
+                return list(net.fabric.edges())  # flatlint: disable=FT008
+            """)
+        assert findings == []
+
+
 class TestSuppressionsAndParseErrors:
     def test_inline_suppression_silences_only_that_code(self, tmp_path):
         findings = lint_snippet(tmp_path, "mod.py", """\
@@ -720,5 +820,5 @@ class TestSuppressionsAndParseErrors:
         rules = all_rules()
         assert [r.code for r in rules] == ["FT001", "FT002", "FT003",
                                            "FT004", "FT005", "FT006",
-                                           "FT007"]
+                                           "FT007", "FT008"]
         assert all(r.name and r.summary for r in rules)

@@ -24,10 +24,14 @@ from hypothesis import strategies as st
 from repro.core.conversion import Mode, convert
 from repro.core.design import FlatTreeDesign
 from repro.core.flattree import FlatTree
+from repro.core.multistage import build_two_stage_flat_tree
+from repro.experiments.degradation import degrade
 from repro.mcf.commodities import Commodity, build_flow_problem
 from repro.topology.elements import Network, PlainSwitch
+from repro.topology.export import to_dot, to_json_dict
 from repro.topology.fattree import build_fat_tree
 from repro.topology.jellyfish import build_jellyfish_like_fat_tree
+from repro.topology.validate import audit
 
 TOPOLOGIES = ("fat-tree", "jellyfish",
               *(f"flat-tree {mode.value}" for mode in Mode))
@@ -172,5 +176,31 @@ def test_a_network_is_freed_without_the_cycle_collector():
     try:
         del net, jellyfish
         assert [ref() for ref in alive] == [None] * len(alive)
+    finally:
+        gc.enable()
+
+
+def test_builders_and_readers_leave_no_fabric_behind():
+    """A two-stage flat-tree build walks two temporary fabrics, and the
+    DOT and JSON writers, ``degrade`` and ``audit`` walk every cable;
+    with the cycle collector off, none of them may leave a graph alive
+    once its network is gone."""
+
+    def graphs() -> int:
+        return sum(isinstance(obj, nx.Graph) for obj in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = graphs()
+        net = build_two_stage_flat_tree(8, 4)
+        fabric = weakref.ref(net.fabric)
+        to_dot(net)
+        to_json_dict(net)
+        assert degrade(net, 0.1, random.Random(0)).num_cables < net.num_cables
+        assert audit(net).ok
+        del net
+        assert fabric() is None
+        assert graphs() == before
     finally:
         gc.enable()

@@ -22,7 +22,10 @@ invariants rather than generic style:
 * **FT007 determinism-taint** — interprocedural: wall-clock / RNG /
   entropy values flowing through the call graph into replay-critical
   sinks (remediation ledger, health reports, bench artifacts),
-  reported with the full source-to-sink call path.
+  reported with the full source-to-sink call path;
+* **FT008 fabric-views** — no ``.edges`` / ``.degree`` read on a
+  fabric in ``repro.*``: networkx caches those views on the graph and
+  each holds it, so the fabric outlives its network.
 
 FT006/FT007 run on a whole-program symbol table and call graph
 (:mod:`tools.flatlint.symbols`, :mod:`tools.flatlint.callgraph`);

@@ -27,7 +27,7 @@ def register(cls: Type[Rule]) -> Type[Rule]:
 
 def all_rules() -> List[Rule]:
     """Fresh instances of every registered rule, ordered by code."""
-    from . import (bus, concurrency, determinism, hygiene,  # noqa: F401
-                   layering, taint, telemetry)
+    from . import (bus, concurrency, determinism,  # noqa: F401
+                   fabricviews, hygiene, layering, taint, telemetry)
 
     return [_REGISTRY[code]() for code in sorted(_REGISTRY)]

@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test perf-test bench golden bench-session bench-smoke bench-compare trend-smoke figures examples lint lint-fast clean telemetry-smoke monitor-smoke chaos-smoke health-smoke heal-smoke
+.PHONY: install test perf-test bench golden figures examples lint lint-fast clean telemetry-smoke monitor-smoke chaos-smoke health-smoke heal-smoke
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -34,42 +34,6 @@ golden:
 	cp "$$saved/RESULTS.txt" "$$saved/METRICS.json" benchmarks/; \
 	rm -rf "$$saved"; \
 	exit $$status
-
-# Record a durable perf session: full bench suite -> repo-root
-# BENCH_<seq>.json with environment fingerprint + registry counters.
-bench-session:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench
-
-# Tiny bench smoke for CI: two fast benches -> BENCH_smoke.json, then
-# prove the pairwise gate's wiring with a self-diff (must exit 0).  The
-# file is left behind for the CI artifact upload; `make clean` removes it.
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --select "fig5 or ksp" --out BENCH_smoke.json --label smoke
-	$(PYTHON) -m tools.perfreport diff BENCH_smoke.json BENCH_smoke.json
-
-# Trajectory-aware regression gate: the default judges the newest
-# point of every bench metric against a MAD noise band fitted to the
-# whole recorded BENCH_* trajectory (exit 1 only when a metric steps
-# outside its band — a regression must beat the noise, not just the
-# 25% pairwise tolerance).  Override with
-# BASE=... NEW=... for the pairwise two-session diff; its exit 1 (a
-# grown bench) is reported but tolerated, and only usage errors fail.
-bench-compare:
-	@if [ -n "$$BASE" ] || [ -n "$$NEW" ]; then \
-		$(PYTHON) -m tools.perfreport diff "$$BASE" "$$NEW" --min-runtime 0.05 || [ $$? -eq 1 ]; \
-	else \
-		$(PYTHON) -m tools.perfreport trend; \
-	fi
-
-# Differential-analysis smoke for CI: attribute the delta between the
-# two newest recorded bench sessions (exit 1 = attributed regression is
-# fine here — the gate is `trend` below), then run the trajectory
-# engine over the full recorded history and leave TREND_REPORT.json
-# behind for the CI artifact upload; `make clean` removes it.
-trend-smoke:
-	$(PYTHON) -m tools.perfreport diff || [ $$? -eq 1 ]
-	$(PYTHON) -m tools.perfreport trend --out TREND_REPORT.json
-	test -s TREND_REPORT.json
 
 # Static analysis: the domain-aware flatlint pass (FT001-FT008, incl.
 # the whole-program concurrency-safety and determinism-taint analyses;
@@ -169,7 +133,7 @@ examples:
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .hypothesis
-	rm -f BENCH_smoke.json telemetry-smoke.jsonl TREND_REPORT.json
+	rm -f telemetry-smoke.jsonl
 	rm -f HEALTH_REPORT.json health-smoke*.jsonl health-smoke-*.json
 	rm -f HEAL_LEDGER.json heal-smoke*.jsonl heal-smoke-b.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -26,10 +26,11 @@ from repro import obs
 #: passing runs, so the file is the durable record of a bench session).
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "RESULTS.txt")
 
-#: Per-test registry snapshots from the last bench session, so BENCH
-#: entries carry internal counters (solver iterations, repair loops,
-#: cache hits), not just wall clock.  Set ``REPRO_TELEMETRY=0`` to
-#: benchmark the disabled-mode fast path instead.
+#: Per-test registry snapshots from the last bench session: internal
+#: counters (solver iterations, repair loops, cache hits) beside the
+#: tables, uploaded by the CI ``metrics`` job.  Set
+#: ``REPRO_TELEMETRY=0`` to benchmark the disabled-mode fast path
+#: instead.
 METRICS_PATH = os.path.join(os.path.dirname(__file__), "METRICS.json")
 
 _snapshots: dict = {}

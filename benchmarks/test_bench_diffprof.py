@@ -1,13 +1,10 @@
-"""Tooling bench: the differential plane stays inner-loop fast.
+"""Tooling bench: the span-tree diff stays inner-loop fast.
 
-The diff and trend engines run on every ``make bench-compare`` /
-``make trend-smoke``, so they must stay cheap even on inputs far
-larger than the repo currently records: a span-tree diff over two
-synthetic ~10k-node profiles plus a trajectory analysis over dozens
-of synthetic sessions x hundreds of metrics must finish inside
-:data:`BUDGET_S`.  The budget is deliberately loose so only an
-algorithmic blow-up (quadratic alignment, per-point window rescans
-going superlinear) can trip it, not CI jitter.
+``perfreport diff`` must stay cheap even on traces far larger than a
+figure run records: a span-tree diff over two synthetic ~10k-node
+profiles plus the subtraction of their folded stacks must finish
+inside :data:`BUDGET_S`.  The budget is deliberately loose so only an
+algorithmic blow-up (quadratic alignment) can trip it, not CI jitter.
 """
 
 from __future__ import annotations
@@ -17,17 +14,14 @@ import time
 from conftest import show
 
 from repro.experiments.common import ExperimentResult
-from repro.obs import diffprof, trend
+from repro.obs import diffprof
 from repro.obs.perf import Profile
 
-#: Hard runtime ceiling for both engines together, in seconds.
+#: Hard runtime ceiling for the diff and the subtraction, in seconds.
 BUDGET_S = 10.0
 
 #: Span-tree fan-out: ROOTS x CHILDREN x LEAVES nodes per profile.
 ROOTS, CHILDREN, LEAVES = 10, 33, 30
-
-#: Trajectory size: sessions x metrics series points.
-SESSIONS, METRICS = 48, 300
 
 
 def synthetic_profile(scale: float) -> Profile:
@@ -63,19 +57,6 @@ def synthetic_profile(scale: float) -> Profile:
     return Profile.from_events(events)
 
 
-def synthetic_trajectory() -> dict:
-    series = {}
-    for m in range(METRICS):
-        base = 0.1 + (m % 17) * 0.05
-        series[f"bench:mod{m % 9}.py::bench{m}"] = [
-            trend.SeriesPoint(
-                seq=s + 1, label=f"BENCH_{s + 1}.json",
-                value=base * (1.0 + 0.05 * ((s * 7 + m) % 5 - 2)))
-            for s in range(SESSIONS)
-        ]
-    return series
-
-
 def run_differential_plane() -> ExperimentResult:
     begin = time.perf_counter()
     base = synthetic_profile(1.0)
@@ -86,24 +67,15 @@ def run_differential_plane() -> ExperimentResult:
         diffprof.parse_folded(new.folded()))
     diff_wall = time.perf_counter() - begin
 
-    begin = time.perf_counter()
-    trajectory = synthetic_trajectory()
-    trends = [trend.analyze_series(metric, points)
-              for metric, points in sorted(trajectory.items())]
-    trend_wall = time.perf_counter() - begin
-
     result = ExperimentResult(
-        experiment="tooling: differential perf plane runtime",
-        x_label="aligned paths / metric series",
+        experiment="tooling: span-tree diff runtime",
+        x_label="aligned paths",
         y_label="wall-clock (s)",
     )
     result.new_series("span-tree diff").add(len(diff.deltas), diff_wall)
-    result.new_series("trend engine").add(len(trends), trend_wall)
     result.notes.append(
         f"diff: {len(diff.deltas)} paths, {len(folded)} folded stacks "
-        f"in {diff_wall:.2f}s; trend: {len(trends)} metrics x "
-        f"{SESSIONS} sessions in {trend_wall:.2f}s "
-        f"(budget {BUDGET_S:.0f}s combined)")
+        f"in {diff_wall:.2f}s (budget {BUDGET_S:.0f}s)")
     return result
 
 
@@ -111,7 +83,5 @@ def test_bench_diffprof_runtime(once):
     result = once(run_differential_plane)
     show(result)
     (paths, diff_wall), = result.get("span-tree diff").points.items()
-    (metrics, trend_wall), = result.get("trend engine").points.items()
     assert paths > 10_000  # the diff really aligned both big trees
-    assert metrics == METRICS
-    assert diff_wall + trend_wall <= BUDGET_S
+    assert diff_wall <= BUDGET_S

@@ -8,8 +8,8 @@ The budget is deliberately loose (the pass runs in a few seconds on a
 laptop) so only an algorithmic regression in the graph builder or a
 reachability blow-up can trip it, not CI jitter.
 
-The bench reports files, findings, edge count and wall time so the
-BENCH trajectory records how analysis cost scales as the repo grows.
+The bench reports files, findings, edge count and wall time, so its
+table shows how analysis cost scales as the repo grows.
 """
 
 from __future__ import annotations

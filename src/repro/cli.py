@@ -15,7 +15,6 @@ Examples::
     flattree monitor --k 4 --pattern alltoall   # link utilization heatmap
     flattree fct --ks 4 --monitor          # utilization across a conversion
     flattree info                          # versions + telemetry sinks
-    flattree bench --select "fig5"         # durable BENCH_<seq>.json session
     flattree --telemetry fig5 --ks 4      # spans/metrics JSONL to stderr
     flattree --telemetry=run.jsonl fig5   # ... or to a file
     flattree --telemetry=run.jsonl --trace-malloc fig5  # + mem_peak_kb
@@ -331,21 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="--soak: workload size")
     p.set_defaults(handler=_heal_handler)
 
-    p = sub.add_parser("bench",
-                       help="run pytest benchmarks/ and record a durable "
-                            "BENCH_<seq>.json perf session")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="session file to write (default: the next free "
-                        "repo-root BENCH_<seq>.json)")
-    p.add_argument("--select", default=None, metavar="EXPR",
-                   help="pytest -k expression limiting which benches run")
-    p.add_argument("--benchmarks", default=None, metavar="DIR",
-                   help="benchmark directory (default: the checkout's "
-                        "benchmarks/)")
-    p.add_argument("--label", default="bench",
-                   help="free-form session label recorded in the file")
-    p.set_defaults(handler=_bench_handler)
-
     p = sub.add_parser("info",
                        help="package version, dependencies, telemetry sinks")
     p.set_defaults(handler=_info_handler)
@@ -391,68 +375,6 @@ def _profile_handler(args) -> int:
         )
     for cand in result.skipped:
         print(f"# skipped m={cand.m} n={cand.n}: {cand.reason}")
-    return 0
-
-
-def _bench_handler(args) -> int:
-    """Run the bench suite and write one BENCH_<seq>.json session."""
-    import json
-    import os
-    import subprocess
-    import tempfile
-    from pathlib import Path
-
-    from repro.obs import bench as bench_sessions
-
-    root = bench_sessions.repo_root()
-    bench_dir = (Path(args.benchmarks) if args.benchmarks
-                 else root / "benchmarks")
-    if not bench_dir.is_dir():
-        print(f"bench: no benchmark directory at {bench_dir} "
-              "(run from a repo checkout or pass --benchmarks DIR)",
-              file=sys.stderr)
-        return 2
-    try:
-        import pytest_benchmark  # noqa: F401
-    except ImportError:
-        print("bench: pytest-benchmark is required "
-              "(pip install -e .[dev])", file=sys.stderr)
-        return 2
-    out = (Path(args.out) if args.out
-           else bench_sessions.next_session_path(root))
-
-    with tempfile.TemporaryDirectory() as tmp:
-        bench_json = Path(tmp) / "pytest-benchmark.json"
-        cmd = [sys.executable, "-m", "pytest", str(bench_dir),
-               "--benchmark-only", "-q", f"--benchmark-json={bench_json}"]
-        if args.select:
-            cmd += ["-k", args.select]
-        env = dict(os.environ)
-        src = str(root / "src")
-        env["PYTHONPATH"] = (src + os.pathsep + env["PYTHONPATH"]
-                             if env.get("PYTHONPATH") else src)
-        proc = subprocess.run(cmd, cwd=str(root), env=env)
-        if proc.returncode != 0:
-            print(f"bench: pytest exited {proc.returncode}; "
-                  "no session written", file=sys.stderr)
-            return 1
-        raw = json.loads(bench_json.read_text(encoding="utf-8"))
-
-    stats = bench_sessions.parse_pytest_benchmark_json(raw)
-    metrics = None
-    metrics_path = bench_dir / "METRICS.json"
-    if metrics_path.is_file():
-        metrics = json.loads(metrics_path.read_text(encoding="utf-8"))
-    session = bench_sessions.build_session(
-        stats, metrics, label=args.label, root=root)
-    bench_sessions.write_session(out, session)
-    obs.event("perf.bench_session", out=str(out), benches=len(stats))
-    print(f"bench: wrote {out} — {len(stats)} benchmarks, "
-          f"commit {session['environment'].get('git_commit') or '?'}")
-    for key, entry in sorted(session["benchmarks"].items()):
-        print(f"  {entry['wall_s']:>10.4f}s  {key}")
-    print("compare sessions with: python -m tools.perfreport diff "
-          "BASE NEW (see docs/performance.md)")
     return 0
 
 
@@ -625,17 +547,11 @@ def _info_handler(args) -> int:
               "see docs/static-analysis.md)")
     else:
         print(f"lint: {capability_line()}")
-    from repro.obs import bench as bench_sessions
-
-    sessions = bench_sessions.session_paths(bench_sessions.repo_root())
     print(
         "perf: span-tree profiler + folded-stack export "
-        "(python -m tools.perfreport profile/flamegraph), "
-        f"bench trajectory {len(sessions)} BENCH_*.json session(s) "
-        "(flattree bench, docs/performance.md), differential analysis "
-        "(perfreport diff: pairwise gate + span-tree/bench deltas + "
-        "differential flamegraphs), trajectory trend gate with MAD "
-        "noise bands (perfreport trend)"
+        "(python -m tools.perfreport profile/flamegraph), differential "
+        "analysis (perfreport diff: span-tree deltas + differential "
+        "flamegraphs, docs/performance.md)"
     )
     return 0
 

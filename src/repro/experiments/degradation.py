@@ -54,10 +54,11 @@ def run_degradation(
     """Sweep failure fractions over the main topologies at one k."""
     params = fat_tree_params(k)
     workload = broadcast_workload(params, "locality", random.Random(seed))
+    baselines = baseline_networks(k, seed)
     nets: Dict[str, Network] = {
-        "fat-tree": baseline_networks(k, seed)["fat-tree"],
+        "fat-tree": baselines["fat-tree"],
         "flat-tree": flat_tree_network(k, Mode.GLOBAL_RANDOM),
-        "random graph": baseline_networks(k, seed)["random graph"],
+        "random graph": baselines["random graph"],
     }
     result = ExperimentResult(
         experiment=f"extension: throughput under random link failures, k={k}",

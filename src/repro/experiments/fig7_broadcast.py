@@ -76,10 +76,11 @@ def run_fig7(
     }
     for k in ks:
         params = fat_tree_params(k)
+        baselines = baseline_networks(k, seed)
         nets = {
-            "fat-tree": baseline_networks(k, seed)["fat-tree"],
+            "fat-tree": baselines["fat-tree"],
             "flat-tree": flat_tree_network(k, Mode.GLOBAL_RANDOM),
-            "random graph": baseline_networks(k, seed)["random graph"],
+            "random graph": baselines["random graph"],
         }
         for place in PLACEMENTS:
             workload = broadcast_workload(

@@ -15,8 +15,8 @@ Three pieces (see ``docs/observability.md`` for the metric catalog):
 
 Spans carry ``span_id``/``parent_id`` trace context; feed a recorded
 JSONL trace to :class:`~repro.obs.perf.Profile` for per-name self /
-cumulative time, the critical path, and flamegraph export, and see
-:mod:`repro.obs.bench` for durable ``BENCH_*.json`` perf sessions
+cumulative time, the critical path, and flamegraph export, and to
+:mod:`repro.obs.diffprof` to see which span moved between two traces
 (``docs/performance.md``).
 
 Typical use::

@@ -31,7 +31,7 @@ and the registration agree in both directions.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping
+from typing import Any, Callable, FrozenSet, List, Mapping
 
 #: Every legal value of the ``kind`` field.
 KINDS: FrozenSet[str] = frozenset({
@@ -65,9 +65,7 @@ EVENT_FIELDS: Mapping[str, FrozenSet[str]] = {
     "experiments.degradation.solver_failure": frozenset(
         {"topology", "fraction", "draw"}),
     "core.scaling.candidate_skipped": frozenset({"candidate", "reason"}),
-    "perf.bench_session": frozenset({"out", "benches"}),
     "perf.diff_session": frozenset({"base", "new", "grown", "shrunk"}),
-    "perf.trend_session": frozenset({"sessions", "metrics", "steps"}),
     "health.alert_firing": frozenset(
         {"rule", "metric", "value", "threshold", "t"}),
     "health.alert_resolved": frozenset(
@@ -179,25 +177,12 @@ def _check_candidate_skipped(event: Mapping[str, Any],
     _check_named(event, problems, "candidate_skipped", "reason")
 
 
-def _check_bench_session(event: Mapping[str, Any],
-                         problems: List[str]) -> None:
-    _check_named(event, problems, "bench_session", "out")
-    _check_counted(event, problems, "bench_session", "benches")
-
-
 def _check_diff_session(event: Mapping[str, Any],
                         problems: List[str]) -> None:
     _check_named(event, problems, "diff_session", "base")
     _check_named(event, problems, "diff_session", "new")
     _check_counted(event, problems, "diff_session", "grown")
     _check_counted(event, problems, "diff_session", "shrunk")
-
-
-def _check_trend_session(event: Mapping[str, Any],
-                         problems: List[str]) -> None:
-    _check_counted(event, problems, "trend_session", "sessions")
-    _check_counted(event, problems, "trend_session", "metrics")
-    _check_counted(event, problems, "trend_session", "steps")
 
 
 def _check_alert_firing(event: Mapping[str, Any],
@@ -299,9 +284,7 @@ EVENT_CHECKS: Mapping[str, Callable[[Mapping[str, Any], List[str]], None]] = {
     "flowsim.flow_rerouted": _check_flow_rerouted,
     "experiments.degradation.solver_failure": _check_solver_failure,
     "core.scaling.candidate_skipped": _check_candidate_skipped,
-    "perf.bench_session": _check_bench_session,
     "perf.diff_session": _check_diff_session,
-    "perf.trend_session": _check_trend_session,
     "health.alert_firing": _check_alert_firing,
     "health.alert_resolved": _check_alert_resolved,
     "health.slo_burn": _check_slo_burn,
@@ -421,13 +404,3 @@ def check_line(line: str, lineno: int = 0) -> List[str]:
     if not isinstance(event, dict):
         return ["not a JSON object"]
     return check_event(event)
-
-
-def validate_stream(lines: List[str]) -> Dict[int, List[str]]:
-    """Validate many JSONL lines; maps 1-based line number -> problems."""
-    errors: Dict[int, List[str]] = {}
-    for lineno, line in enumerate(lines, start=1):
-        problems = check_line(line, lineno)
-        if problems:
-            errors[lineno] = problems
-    return errors

@@ -1,22 +1,13 @@
-"""Differential profiling: the pairwise perf judge.
+"""Differential profiling: which span moved between two traces.
 
-It aligns two performance recordings, says *whether* the newer one
-regressed, and attributes the delta per span path or bench, in two
-input flavors sharing one result shape:
-
-* **span-tree diff** (:func:`diff_profiles`) — two
-  :class:`repro.obs.perf.Profile` trees from telemetry JSONL traces,
-  aligned by span *path* so `cli/convert/mcf.exact` in the base run
-  lines up with the same phase in the new run even when siblings share
-  a name.  Each aligned path carries cumulative / self wall-time and
-  ``mem_peak_kb`` deltas and is classified ``grown`` / ``shrunk`` /
-  ``steady`` / ``new`` / ``gone`` / ``below-floor``; the two critical
-  paths are compared level by level for the divergence summary.
-* **bench-session diff** (:func:`diff_bench_sessions`) — two
-  ``BENCH_<seq>.json`` sessions, aligned by bench node id over wall
-  time.  This is the repo's pairwise bench regression gate (``python
-  -m tools.perfreport diff BASE NEW``, ``make bench-compare BASE=
-  NEW=``, the CI ``bench-smoke`` job).
+:func:`diff_profiles` aligns two :class:`repro.obs.perf.Profile` trees
+from telemetry JSONL traces by span *path*, so
+`cli/convert/mcf.exact` in the base run lines up with the same phase
+in the new run even when siblings share a name.  Each aligned path
+carries cumulative / self wall-time and ``mem_peak_kb`` deltas and is
+classified ``grown`` / ``shrunk`` / ``steady`` / ``new`` / ``gone`` /
+``below-floor``; the two critical paths are compared level by level
+for the divergence summary.
 
 **Differential flamegraphs** ride along: :func:`subtract_folded` takes
 two folded-stack exports (``a;b;c <usec>`` lines, as produced by
@@ -25,16 +16,12 @@ new_usec`` format that Brendan Gregg's ``difffolded.pl`` produces and
 ``flamegraph.pl`` renders red/blue — so ``perfreport diff --folded
 out.folded`` shows where an optimization *moved* time.
 
-Classification is noise-tolerant with the shared perf-judge defaults
-(:data:`repro.obs.bench.DEFAULT_TOLERANCE`,
-:data:`~repro.obs.bench.DEFAULT_MIN_RUNTIME_S`): a path must grow
-beyond ``1 + tolerance`` (default 25%) and sit above the runtime floor
+Classification is noise-tolerant (:data:`DEFAULT_TOLERANCE`,
+:data:`DEFAULT_MIN_RUNTIME_S`): a path must grow beyond
+``1 + tolerance`` (default 25%) and sit above the runtime floor
 (default 5 ms) on at least one side to count.  A diff with at least
 one ``grown`` path carries ``exit_code`` 1 — the CLI (``python -m
-tools.perfreport diff``) forwards it.  Bench-session diffs also carry
-the environment drift between the two fingerprints
-(:func:`repro.obs.bench.environment_drift`), because a slower python
-or fewer CPUs explains a step better than any diff.
+tools.perfreport diff BASE.jsonl NEW.jsonl``) forwards it.
 
 This module is a replay-critical sink for flatlint FT007: its reports
 must be byte-identical across replays, so no wall clock or RNG may
@@ -47,18 +34,14 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.obs.bench import (
-    DEFAULT_MIN_RUNTIME_S,
-    DEFAULT_TOLERANCE,
-    environment_drift,
-)
 from repro.obs.perf import Profile
 from repro.obs.trace import event
 
 __all__ = [
+    "DEFAULT_MIN_RUNTIME_S",
+    "DEFAULT_TOLERANCE",
     "PathDelta",
     "ProfileDiff",
-    "diff_bench_sessions",
     "diff_profiles",
     "emit_diff_event",
     "parse_folded",
@@ -66,6 +49,14 @@ __all__ = [
     "render_text",
     "subtract_folded",
 ]
+
+#: Relative change treated as noise: a path counts as grown only past
+#: ``1 + DEFAULT_TOLERANCE`` of its base time.
+DEFAULT_TOLERANCE = 0.25
+
+#: Seconds: paths under this on both sides are timer jitter, never
+#: judged.
+DEFAULT_MIN_RUNTIME_S = 0.005
 
 
 @dataclass
@@ -109,7 +100,6 @@ class PathDelta:
 class ProfileDiff:
     """The full attribution of ``diff BASE NEW``."""
 
-    kind: str  # trace | bench
     base_label: str
     new_label: str
     tolerance: float
@@ -117,11 +107,9 @@ class ProfileDiff:
     base_total_s: float
     new_total_s: float
     deltas: List[PathDelta] = field(default_factory=list)
-    #: (name, cum_s) along each recording's critical path (traces only).
+    #: (name, cum_s) along each recording's critical path.
     critical_base: List[Tuple[str, float]] = field(default_factory=list)
     critical_new: List[Tuple[str, float]] = field(default_factory=list)
-    #: Fingerprint changes between the two bench sessions.
-    environment_drift: List[str] = field(default_factory=list)
 
     @property
     def total_delta_s(self) -> float:
@@ -186,7 +174,7 @@ def _collapse_profile(profile: Profile) -> Dict[str, _PathStats]:
 def _judge(base: Optional[_PathStats], new: Optional[_PathStats],
            tolerance: float, min_runtime_s: float) -> PathDelta:
     either = new if new is not None else base
-    if either is None:  # pragma: no cover - _align never produces this
+    if either is None:  # pragma: no cover - diff_profiles never does this
         raise ReproError("internal: aligned a path present on neither side")
     path = either.path
     name = either.name
@@ -216,16 +204,6 @@ def _judge(base: Optional[_PathStats], new: Optional[_PathStats],
     )
 
 
-def _align(base: Mapping[str, _PathStats], new: Mapping[str, _PathStats],
-           tolerance: float, min_runtime_s: float) -> List[PathDelta]:
-    deltas = [
-        _judge(base.get(path), new.get(path), tolerance, min_runtime_s)
-        for path in sorted(set(base) | set(new))
-    ]
-    deltas.sort(key=lambda d: (-abs(d.cum_delta_s), d.path))
-    return deltas
-
-
 def diff_profiles(
     base: Profile,
     new: Profile,
@@ -235,57 +213,21 @@ def diff_profiles(
     new_label: str = "new",
 ) -> ProfileDiff:
     """Span-tree diff of two reconstructed telemetry profiles."""
-    deltas = _align(_collapse_profile(base), _collapse_profile(new),
-                    tolerance, min_runtime_s)
+    base_stats = _collapse_profile(base)
+    new_stats = _collapse_profile(new)
+    deltas = [
+        _judge(base_stats.get(path), new_stats.get(path), tolerance,
+               min_runtime_s)
+        for path in sorted(set(base_stats) | set(new_stats))
+    ]
+    deltas.sort(key=lambda d: (-abs(d.cum_delta_s), d.path))
     return ProfileDiff(
-        kind="trace", base_label=base_label, new_label=new_label,
+        base_label=base_label, new_label=new_label,
         tolerance=tolerance, min_runtime_s=min_runtime_s,
         base_total_s=base.total_s, new_total_s=new.total_s,
         deltas=deltas,
         critical_base=[(n.name, n.duration_s) for n in base.critical_path()],
         critical_new=[(n.name, n.duration_s) for n in new.critical_path()],
-    )
-
-
-def _collapse_bench(session: Mapping[str, object]) -> Dict[str, _PathStats]:
-    stats: Dict[str, _PathStats] = {}
-    benchmarks = session.get("benchmarks")
-    for key, entry in (benchmarks.items()
-                       if isinstance(benchmarks, dict) else []):
-        if not isinstance(entry, dict):
-            continue
-        wall = entry.get("wall_s")
-        if not isinstance(wall, (int, float)) or isinstance(wall, bool):
-            continue
-        rounds = entry.get("rounds")
-        stats[str(key)] = _PathStats(
-            path=str(key), name=str(key),
-            calls=rounds if isinstance(rounds, int)
-            and not isinstance(rounds, bool) else 1,
-            cum_s=float(wall), self_s=float(wall),
-        )
-    return stats
-
-
-def diff_bench_sessions(
-    base: Mapping[str, object],
-    new: Mapping[str, object],
-    tolerance: float = DEFAULT_TOLERANCE,
-    min_runtime_s: float = DEFAULT_MIN_RUNTIME_S,
-    base_label: str = "base",
-    new_label: str = "new",
-) -> ProfileDiff:
-    """Per-bench diff of two ``BENCH_*.json`` sessions."""
-    base_stats = _collapse_bench(base)
-    new_stats = _collapse_bench(new)
-    deltas = _align(base_stats, new_stats, tolerance, min_runtime_s)
-    return ProfileDiff(
-        kind="bench", base_label=base_label, new_label=new_label,
-        tolerance=tolerance, min_runtime_s=min_runtime_s,
-        base_total_s=sum(s.cum_s for s in base_stats.values()),
-        new_total_s=sum(s.cum_s for s in new_stats.values()),
-        deltas=deltas,
-        environment_drift=environment_drift(base, new),
     )
 
 
@@ -336,21 +278,18 @@ def render_text(diff: ProfileDiff, top: int = 30) -> str:
     total_ratio = (f", {diff.new_total_s / diff.base_total_s:.2f}x"
                    if diff.base_total_s > 0 else "")
     lines = [
-        f"perfreport diff ({diff.kind}): {diff.base_label} -> "
+        f"perfreport diff: {diff.base_label} -> "
         f"{diff.new_label} (tolerance {diff.tolerance:.0%}, floor "
         f"{diff.min_runtime_s * 1e3:g} ms)",
         f"total {diff.base_total_s:.4f}s -> {diff.new_total_s:.4f}s "
         f"({diff.total_delta_s:+.4f}s{total_ratio})",
     ]
-    lines += [f"! environment drift: {note}"
-              for note in diff.environment_drift]
     has_mem = any(d.mem_delta_kb is not None for d in diff.deltas)
-    label = "path" if diff.kind == "trace" else "bench"
     header = (f"{'status':<12} {'base_s':>10} {'new_s':>10} {'delta_s':>10} "
               f"{'ratio':>7}")
     if has_mem:
         header += f" {'mem_kb':>9}"
-    header += f"  {label}"
+    header += "  path"
     lines += [header, "-" * len(header)]
     ordered = sorted(
         diff.deltas,
@@ -388,14 +327,13 @@ def render_text(diff: ProfileDiff, top: int = 30) -> str:
                 f"base {base_name!r} vs new {new_name!r}")
     lines.append(
         f"{len(diff.grown)} grown, {len(diff.shrunk)} shrunk across "
-        f"{len(diff.deltas)} aligned {label}(s)")
+        f"{len(diff.deltas)} aligned path(s)")
     return "\n".join(lines)
 
 
 def render_json(diff: ProfileDiff) -> Dict[str, object]:
     """JSON-ready attribution for machine consumers (CI annotations)."""
     return {
-        "kind": diff.kind,
         "base": diff.base_label,
         "new": diff.new_label,
         "tolerance": diff.tolerance,
@@ -409,7 +347,6 @@ def render_json(diff: ProfileDiff) -> Dict[str, object]:
             {"name": name, "cum_s": cum} for name, cum in diff.critical_base],
         "critical_new": [
             {"name": name, "cum_s": cum} for name, cum in diff.critical_new],
-        "environment_drift": list(diff.environment_drift),
         "deltas": [
             {
                 "path": d.path,

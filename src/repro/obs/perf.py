@@ -16,10 +16,9 @@ and answers the questions a perf PR is judged on:
   ``REPRO_TRACEMALLOC`` (see :func:`repro.obs.enable`), the per-name
   peak of the spans' ``mem_peak_kb`` deltas.
 
-Reconstruction prefers the ``span_id``/``parent_id`` trace context
-every span now carries (exact even when sibling spans share a name);
-traces from older sessions without ids are linked by replaying the
-exit-ordered stream against ``depth``/``path`` prefixes.
+Reconstruction links spans by the ``span_id``/``parent_id`` trace
+context every span carries (exact even when sibling spans share a
+name); a span without a positive integer ``span_id`` is rejected.
 
 The CLI front end is ``python -m tools.perfreport profile RUN.jsonl``
 (and ``... flamegraph RUN.jsonl``); the format is documented in
@@ -90,11 +89,20 @@ class Profile:
         Non-span events are ignored, so the full JSONL stream of a
         ``--telemetry`` run can be fed in unfiltered.
         """
-        spans = [e for e in events if e.get("kind") == "span"]
-        nodes = [cls._node_of(e) for e in spans]
-        if nodes and all(node.span_id > 0 for node in nodes):
-            return cls._link_by_ids(nodes)
-        return cls._link_by_exit_order(nodes)
+        nodes = [cls._node_of(e) for e in events if e.get("kind") == "span"]
+        by_id = {node.span_id: node for node in nodes}
+        if len(by_id) != len(nodes):
+            raise ReproError("duplicate span_id in trace — ids must be "
+                             "unique within one telemetry session")
+        roots: List[SpanNode] = []
+        for node in nodes:
+            parent = (by_id.get(node.parent_id)
+                      if node.parent_id is not None else None)
+            if parent is None:
+                roots.append(node)
+            else:
+                parent.children.append(node)
+        return cls(roots, by_id)
 
     @classmethod
     def from_jsonl(cls, path: str) -> "Profile":
@@ -120,14 +128,17 @@ class Profile:
         if not isinstance(name, str) or not isinstance(duration, (int, float)):
             raise ReproError(f"malformed span event: {dict(event)!r}")
         span_id = event.get("span_id")
+        if (not isinstance(span_id, int) or isinstance(span_id, bool)
+                or span_id < 1):
+            raise ReproError(f"span {name!r} has no positive integer "
+                             f"span_id: {dict(event)!r}")
         parent_id = event.get("parent_id")
         depth = event.get("depth")
         mem = event.get("mem_peak_kb")
         path = event.get("path")
         return SpanNode(
             name=name,
-            span_id=span_id if isinstance(span_id, int)
-            and not isinstance(span_id, bool) else 0,
+            span_id=span_id,
             parent_id=parent_id if isinstance(parent_id, int)
             and not isinstance(parent_id, bool) else None,
             path=path if isinstance(path, str) else name,
@@ -138,40 +149,6 @@ class Profile:
             and not isinstance(mem, bool) else None,
             attrs={k: v for k, v in event.items() if k not in _CORE_FIELDS},
         )
-
-    @classmethod
-    def _link_by_ids(cls, nodes: List[SpanNode]) -> "Profile":
-        by_id = {node.span_id: node for node in nodes}
-        if len(by_id) != len(nodes):
-            raise ReproError("duplicate span_id in trace — ids must be "
-                             "unique within one telemetry session")
-        roots: List[SpanNode] = []
-        for node in nodes:
-            parent = (by_id.get(node.parent_id)
-                      if node.parent_id is not None else None)
-            if parent is None:
-                roots.append(node)
-            else:
-                parent.children.append(node)
-        return cls(roots, by_id)
-
-    @classmethod
-    def _link_by_exit_order(cls, nodes: List[SpanNode]) -> "Profile":
-        # Children exit (and emit) before their parents, so a newly
-        # seen span adopts every still-orphaned span one level deeper
-        # whose path sits under its own.
-        pending: List[SpanNode] = []
-        for seq, node in enumerate(nodes, start=1):
-            node.span_id = seq
-            adopted = [o for o in pending
-                       if o.depth == node.depth + 1
-                       and o.path.startswith(node.path + "/")]
-            for orphan in adopted:
-                orphan.parent_id = node.span_id
-                pending.remove(orphan)
-            node.children.extend(adopted)
-            pending.append(node)
-        return cls(pending, {node.span_id: node for node in nodes})
 
     # -- reports ------------------------------------------------------
 

@@ -169,9 +169,9 @@ def gini(values: Iterable[float]) -> float:
 def scrub_nonfinite(value: Any) -> Any:
     """Replace NaN/inf floats with ``None``, through dicts and sequences.
 
-    JSON has no NaN, so bench sessions, hotspot documents, health
-    reports and remediation ledgers all pass through this before they
-    are written: the files stay standard JSON and diff cleanly.
+    JSON has no NaN, so health reports and remediation ledgers pass
+    through this before they are written: the files stay standard
+    JSON and diff cleanly.
     """
     if isinstance(value, float) and not math.isfinite(value):
         return None

@@ -167,46 +167,24 @@ class TestSpanContract:
             assert contract.check_event(span) == [], span
 
 
-class TestBenchSessionEvent:
-    def test_registered_with_required_fields(self):
-        assert "perf.bench_session" in contract.KNOWN_EVENT_NAMES
-        assert contract.EVENT_FIELDS["perf.bench_session"] == frozenset(
-            {"out", "benches"})
-        assert "perf.bench_session" in contract.EVENT_CHECKS
-
-    def test_valid_bench_session(self):
-        assert contract.check_event(
-            event("perf.bench_session", out="BENCH_1.json",
-                  benches=12)) == []
-
-    def test_blank_out_rejected(self):
-        problems = contract.check_event(
-            event("perf.bench_session", out="   ", benches=1))
-        assert any("'out'" in p for p in problems)
-
-    def test_negative_benches_rejected(self):
-        problems = contract.check_event(
-            event("perf.bench_session", out="BENCH_1.json", benches=-1))
-        assert any("'benches'" in p for p in problems)
-
-
 class TestDiffTrendEvents:
     def test_registered_with_required_fields(self):
         assert contract.EVENT_FIELDS["perf.diff_session"] == frozenset(
             {"base", "new", "grown", "shrunk"})
-        assert contract.EVENT_FIELDS["perf.trend_session"] == frozenset(
-            {"sessions", "metrics", "steps"})
         assert "perf.diff_session" in contract.EVENT_CHECKS
-        assert "perf.trend_session" in contract.EVENT_CHECKS
+        # The BENCH writer and the trajectory judge are gone, and so
+        # are their events.
+        assert "perf.bench_session" not in contract.KNOWN_EVENT_NAMES
+        assert "perf.trend_session" not in contract.KNOWN_EVENT_NAMES
 
     def test_valid_diff_session(self):
         assert contract.check_event(
-            event("perf.diff_session", base="BENCH_1.json",
-                  new="BENCH_2.json", grown=2, shrunk=0)) == []
+            event("perf.diff_session", base="base.jsonl",
+                  new="new.jsonl", grown=2, shrunk=0)) == []
 
     def test_diff_session_blank_labels_rejected(self):
         problems = contract.check_event(
-            event("perf.diff_session", base=" ", new="BENCH_2.json",
+            event("perf.diff_session", base=" ", new="new.jsonl",
                   grown=0, shrunk=0))
         assert any("'base'" in p for p in problems)
 
@@ -215,17 +193,6 @@ class TestDiffTrendEvents:
             event("perf.diff_session", base="a", new="b",
                   grown=-1, shrunk=0))
         assert any("'grown'" in p for p in problems)
-
-    def test_valid_trend_session(self):
-        assert contract.check_event(
-            event("perf.trend_session", sessions=4, metrics=20,
-                  steps=1)) == []
-
-    def test_trend_session_non_integer_rejected(self):
-        problems = contract.check_event(
-            event("perf.trend_session", sessions=4, metrics="many",
-                  steps=0))
-        assert any("'metrics'" in p for p in problems)
 
 
 class TestHealthEvents:
@@ -362,16 +329,3 @@ class TestCheckLineAndStream:
         line = json.dumps(
             {"ts": 0.1, "name": "n", "kind": "gauge", "value": 2.0})
         assert contract.check_line(line) == []
-
-    def test_validate_stream_maps_line_numbers(self):
-        lines = [
-            json.dumps({"ts": 0.1, "name": "n", "kind": "gauge",
-                        "value": 2.0}),
-            "garbage",
-            json.dumps({"ts": 0.2, "name": "x", "kind": "nope",
-                        "value": 1}),
-        ]
-        errors = contract.validate_stream(lines)
-        assert sorted(errors) == [2, 3]
-        assert "not valid JSON" in errors[2][0]
-        assert any("unknown 'kind'" in p for p in errors[3])

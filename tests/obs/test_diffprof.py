@@ -27,12 +27,6 @@ def tree(solver_s, build_s=0.4, mem=None):
     ]
 
 
-def legacy(events):
-    """Strip span ids so reconstruction takes the exit-order fallback."""
-    return [{k: (0 if k == "span_id" else None if k == "parent_id" else v)
-             for k, v in e.items()} for e in events]
-
-
 class TestSpanTreeDiff:
     def test_injected_slowdown_attributed_to_the_right_path(self):
         base = Profile.from_events(tree(solver_s=0.05))
@@ -53,17 +47,6 @@ class TestSpanTreeDiff:
         assert diff.exit_code == 0
         assert all(d.status in ("steady", "below-floor")
                    for d in diff.deltas)
-
-    def test_legacy_traces_take_the_exit_order_fallback(self):
-        # No span ids on either side: linking falls back to exit order
-        # and the diff must still attribute by path.
-        base = Profile.from_events(legacy(tree(solver_s=0.05)))
-        new = Profile.from_events(legacy(tree(solver_s=0.5)))
-        assert all(n.parent_id is not None or n.depth == 0
-                   for n in base.walk())
-        diff = diffprof.diff_profiles(base, new)
-        assert diff.exit_code == 1
-        assert {d.path for d in diff.grown} >= {"cli/solve"}
 
     def test_new_and_gone_paths_classified(self):
         base = Profile.from_events(tree(solver_s=0.2))
@@ -112,18 +95,6 @@ class TestSpanTreeDiff:
         assert "critical paths diverge at depth 1" in text
 
 
-class TestBenchDiff:
-    def test_bench_diff_attributes_the_step(self):
-        base = {"benchmarks": {"a.py::slow": {"wall_s": 0.1, "rounds": 1},
-                               "a.py::ok": {"wall_s": 0.2, "rounds": 1}}}
-        new = {"benchmarks": {"a.py::slow": {"wall_s": 1.0, "rounds": 1},
-                              "a.py::ok": {"wall_s": 0.2, "rounds": 1}}}
-        diff = diffprof.diff_bench_sessions(base, new)
-        assert diff.exit_code == 1
-        assert [d.path for d in diff.grown] == ["a.py::slow"]
-        assert diff.base_total_s == pytest.approx(0.3)
-
-
 class TestFolded:
     def test_parse_and_subtract(self):
         base = diffprof.parse_folded(["cli;solve 100", "cli;build 50"])
@@ -159,18 +130,17 @@ class TestRenderingAndEvent:
         return diffprof.diff_profiles(
             Profile.from_events(tree(solver_s=0.05)),
             Profile.from_events(tree(solver_s=0.5)),
-            base_label="BENCH_1.json", new_label="BENCH_2.json")
+            base_label="base.jsonl", new_label="new.jsonl")
 
     def test_text_mentions_labels_and_counts(self):
         text = diffprof.render_text(self.diff())
-        assert "BENCH_1.json -> BENCH_2.json" in text
+        assert "base.jsonl -> new.jsonl" in text
         assert "2 grown" in text  # cli/solve plus its cli ancestor
         assert "cli/solve" in text
 
     def test_json_document_shape(self):
         document = diffprof.render_json(self.diff())
         assert document["grown"] == 2
-        assert document["kind"] == "trace"
         paths = {d["path"]: d for d in document["deltas"]}
         assert paths["cli/solve"]["status"] == "grown"
         assert paths["cli/solve"]["ratio"] == pytest.approx(10.0)
@@ -180,6 +150,6 @@ class TestRenderingAndEvent:
         events = [e for e in memory_sink.events
                   if e.get("name") == "perf.diff_session"]
         assert len(events) == 1
-        assert events[0]["base"] == "BENCH_1.json"
+        assert events[0]["base"] == "base.jsonl"
         assert events[0]["grown"] == 2
         assert events[0]["shrunk"] == 0

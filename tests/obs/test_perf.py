@@ -61,20 +61,18 @@ class TestReconstruction:
         with pytest.raises(ReproError, match="malformed span"):
             Profile.from_events([{"kind": "span", "name": "x"}])
 
-    def test_legacy_trace_without_ids_linked_by_exit_order(self):
-        events = [
-            {"ts": 1, "name": "inner", "kind": "span", "duration_s": 0.2,
-             "path": "outer/inner", "depth": 1},
-            {"ts": 1, "name": "outer", "kind": "span", "duration_s": 0.5,
-             "path": "outer", "depth": 0},
-            {"ts": 1, "name": "second", "kind": "span", "duration_s": 0.1,
-             "path": "second", "depth": 0},
-        ]
-        profile = Profile.from_events(events)
-        assert sorted(r.name for r in profile.roots) == ["outer", "second"]
-        outer = next(r for r in profile.roots if r.name == "outer")
-        assert [c.name for c in outer.children] == ["inner"]
-        assert outer.self_s == pytest.approx(0.3)
+    @pytest.mark.parametrize(
+        "span_id", [None, 0, -1, True, "1"],
+        ids=["missing", "zero", "negative", "bool", "string"])
+    def test_span_without_positive_integer_id_rejected(self, span_id):
+        inner = {"ts": 1, "name": "inner", "kind": "span",
+                 "duration_s": 0.2, "path": "outer/inner", "depth": 1}
+        if span_id is not None:
+            inner["span_id"] = span_id
+        events = [inner, span("outer", 1, None, "outer", 0, 0.5)]
+        with pytest.raises(ReproError, match="span 'inner' has no "
+                                             "positive integer span_id"):
+            Profile.from_events(events)
 
     def test_recorded_memory_sink_events_round_trip(self, clean_obs):
         sink = MemorySink()

@@ -331,56 +331,27 @@ class TestVersionAndInfo:
 
 
 class TestBenchCommand:
+    """The perf capability line, and the perf commands that are gone."""
+
     def test_info_reports_perf_capability(self, capsys):
         code, out = run_cli(capsys, "info")
         assert code == 0
         assert "perf: span-tree profiler" in out
-        assert "BENCH_*.json" in out
         assert "perfreport diff" in out
-        assert "perfreport trend" in out
+        assert "BENCH" not in out
+        assert "trend" not in out
 
-    def test_bench_missing_dir_exits_two(self, capsys, tmp_path):
-        code = main(["bench", "--benchmarks", str(tmp_path / "nope")])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "no benchmark directory" in captured.err
-
-    def test_bench_records_session(self, capsys, tmp_path):
-        import json
-
-        bench_dir = tmp_path / "benchmarks"
-        bench_dir.mkdir()
-        (bench_dir / "test_bench_tiny.py").write_text(
-            "def test_bench_tiny(benchmark):\n"
-            "    benchmark.pedantic(sum, args=(range(100),),\n"
-            "                       rounds=1, iterations=1)\n"
-        )
-        out_path = tmp_path / "BENCH_unit.json"
-        code, out = run_cli(
-            capsys, "bench", "--benchmarks", str(bench_dir),
-            "--out", str(out_path), "--label", "unit",
-        )
-        assert code == 0
-        assert "wrote" in out
-        session = json.loads(out_path.read_text())
-        assert session["schema"] == 1
-        assert session["label"] == "unit"
-        entry = session["benchmarks"]["test_bench_tiny.py::test_bench_tiny"]
-        assert entry["wall_s"] >= 0
-        assert entry["metrics"] == {}
-        assert session["environment"]["python"]
-
-    @pytest.mark.parametrize("command", ["top", "hotspots"])
+    @pytest.mark.parametrize("command", ["top", "hotspots", "bench"])
     def test_retired_subcommand_is_gone(self, capsys, command):
         # "Is the fabric healthy" is flattree health; "where did the
-        # time go" is a span trace plus perfreport profile.
+        # time go" is a span trace plus perfreport profile; the perf
+        # record is perf/run.py.
         with pytest.raises(SystemExit) as excinfo:
             main([command])
         assert excinfo.value.code == 2
         assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
     def test_trend_subcommand_is_gone(self, capsys):
-        # The trajectory gate has one front end: perfreport trend.
         with pytest.raises(SystemExit) as excinfo:
             main(["trend"])
         assert excinfo.value.code == 2

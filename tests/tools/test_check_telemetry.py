@@ -104,19 +104,14 @@ def test_reexports_come_from_contract():
 
 GOOD_DIFF_SESSION = {
     "ts": 10.0, "name": "perf.diff_session", "kind": "event", "value": 1,
-    "base": "BENCH_3.json", "new": "BENCH_4.json", "grown": 1, "shrunk": 2,
-}
-
-GOOD_TREND_SESSION = {
-    "ts": 11.0, "name": "perf.trend_session", "kind": "event", "value": 1,
-    "sessions": 4, "metrics": 20, "steps": 1,
+    "base": "base.jsonl", "new": "new.jsonl", "grown": 1, "shrunk": 2,
 }
 
 
-def test_diff_and_trend_sessions_pass(tmp_path, capsys):
-    path = write_events(tmp_path, [GOOD_DIFF_SESSION, GOOD_TREND_SESSION])
+def test_diff_session_passes(tmp_path, capsys):
+    path = write_events(tmp_path, [GOOD_DIFF_SESSION])
     assert check_telemetry.main([path]) == 0
-    assert "2 events" in capsys.readouterr().out
+    assert "1 events" in capsys.readouterr().out
 
 
 def test_diff_session_requires_labels_and_counts(tmp_path, capsys):
@@ -126,13 +121,6 @@ def test_diff_session_requires_labels_and_counts(tmp_path, capsys):
         path = write_events(tmp_path, [bad])
         assert check_telemetry.main([path]) == 1, missing
         assert f"'{missing}'" in capsys.readouterr().err
-
-
-def test_trend_session_rejects_negative_counts(tmp_path, capsys):
-    bad = dict(GOOD_TREND_SESSION, steps=-2)
-    path = write_events(tmp_path, [bad])
-    assert check_telemetry.main([path]) == 1
-    assert "'steps'" in capsys.readouterr().err
 
 
 GOOD_SELFHEAL_ACTION = {

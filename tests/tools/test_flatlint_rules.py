@@ -650,9 +650,9 @@ class TestFT007DeterminismTaint:
             """)
         assert findings == []
 
-    # The diff/trend report writers are replay-critical sinks like the
-    # BENCH_* writer: their reports must be byte-identical
-    # across replays, so a wall clock flowing in must fire.
+    # The trace-diff writer and the ledger module are replay-critical
+    # sink modules: what they write must be byte-identical across
+    # replays, so a wall clock flowing in must fire.
     DIFF_TAINTED = """\
         import time
 
@@ -671,8 +671,8 @@ class TestFT007DeterminismTaint:
         assert codes(findings) == ["FT007"]
         assert "time.time()" in findings[0].message
 
-    def test_wall_clock_reaching_the_trend_writer_fires(self, tmp_path):
-        findings = lint_snippet(tmp_path, "src/repro/obs/trend.py",
+    def test_ledger_module_wall_clock_fires(self, tmp_path):
+        findings = lint_snippet(tmp_path, "src/repro/selfheal/ledger.py",
                                 self.DIFF_TAINTED)
         assert codes(findings) == ["FT007"]
 

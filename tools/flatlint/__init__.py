@@ -21,7 +21,7 @@ invariants rather than generic style:
   either route; bare ``.acquire()``; threads without a teardown path;
 * **FT007 determinism-taint** — interprocedural: wall-clock / RNG /
   entropy values flowing through the call graph into replay-critical
-  sinks (remediation ledger, health reports, bench artifacts),
+  sinks (remediation ledger, health reports, trace-diff reports),
   reported with the full source-to-sink call path;
 * **FT008 fabric-views** — no ``.edges`` / ``.degree`` read on a
   fabric in ``repro.*``: networkx caches those views on the graph and

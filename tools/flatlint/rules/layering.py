@@ -10,7 +10,7 @@ module scope is not.
 A second sub-check guards :mod:`repro.obs` internals: outside the obs
 package itself, only the public facade (``repro.obs``) and its
 published submodules (``sinks``, ``stats``, ``contract``, ``perf``,
-``bench``, ``diffprof``, ``trend``) may be imported —
+``diffprof``) may be imported —
 ``repro.obs.trace`` / ``registry`` / ``render`` are implementation
 details.  Both checks apply to ``repro.*`` modules
 only; tests and tools may poke wherever they need.
@@ -66,7 +66,7 @@ ALLOWED: Dict[str, FrozenSet[str]] = {
 #: repro.obs submodules that are public API; everything else is
 #: internal to the obs package.
 PUBLIC_OBS_SUBMODULES = frozenset({
-    "sinks", "stats", "contract", "perf", "bench", "diffprof", "trend"})
+    "sinks", "stats", "contract", "perf", "diffprof"})
 
 
 def _package_of(module: str) -> str:

@@ -1,8 +1,9 @@
 """FT007 — determinism taint from nondeterminism sources to replay sinks.
 
-The repo's replay contracts (PR 5/8) promise byte-identical artifacts:
-the remediation ledger, health reports, and the ``BENCH_*`` JSON
-baselines must come out the same when a trace is replayed.  Trace time (the ``t`` threaded through the event stream) is
+The repo's replay contracts promise byte-identical artifacts: the
+remediation ledger, health reports and trace-diff reports must come
+out the same when a trace is replayed.  Trace time (the ``t``
+threaded through the event stream) is
 the sanctioned clock; wall clocks, unseeded RNGs and id()-keyed
 iteration are not.  A per-file rule can catch ``time.time()`` inside
 ``ledger.py`` — but not three frames above it.
@@ -11,7 +12,7 @@ The analysis works *backwards* from the sinks:
 
 1. **Sinks** — every function in the replay-critical modules
    (``repro.selfheal.ledger``, ``repro.health.report``,
-   ``repro.obs.bench``, ``repro.obs.diffprof``, ``repro.obs.trend``),
+   ``repro.obs.diffprof``),
    every method of a class named ``RemediationLedger``/``HealthReport``,
    and telemetry ``emit`` methods under ``repro.obs``.  For each sink *method* name
    the pseudo-node ``<unknown>.<name>`` is seeded too, so a sink
@@ -47,9 +48,7 @@ from . import register
 _SINK_MODULES = frozenset({
     "repro.selfheal.ledger",
     "repro.health.report",
-    "repro.obs.bench",
     "repro.obs.diffprof",
-    "repro.obs.trend",
 })
 
 #: Replay-critical classes recognised anywhere (fixtures included).
@@ -103,9 +102,8 @@ class DeterminismTaintRule(Rule):
     name = "determinism-taint"
     summary = ("wall clocks, unseeded random, entropy, id() and set "
                "iteration must not reach replay-critical sinks (ledger, "
-               "health report, telemetry emit, BENCH_* writers, "
-               "diff/trend reports); use the trace clock or sort/seed "
-               "first")
+               "health report, telemetry emit, trace-diff reports); "
+               "use the trace clock or sort/seed first")
 
     def finalize(self, project: Project) -> Iterator[Finding]:
         if not any(_in_repro(f.module) for f in project.files):

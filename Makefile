@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test perf-test bench golden figures examples lint lint-fast clean telemetry-smoke monitor-smoke chaos-smoke health-smoke heal-smoke
+.PHONY: install test test-fast perf-test bench golden figures examples lint lint-fast clean telemetry-smoke monitor-smoke chaos-smoke health-smoke heal-smoke
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -134,6 +134,8 @@ examples:
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .hypothesis
 	rm -f telemetry-smoke.jsonl
+	rm -f monitor-smoke*.jsonl monitor-smoke-*.txt
+	rm -f chaos-smoke*.jsonl chaos-smoke-*.txt
 	rm -f HEALTH_REPORT.json health-smoke*.jsonl health-smoke-*.json
 	rm -f HEAL_LEDGER.json heal-smoke*.jsonl heal-smoke-b.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -159,11 +159,9 @@ class TestRecoverAudit:
         assert chaos.redundant_recoveries == ()
 
     def test_audit_event_emitted_and_valid(self, ft):
-        import json
-
         from repro import obs
+        from repro.obs.contract import check_event
         from repro.obs.sinks import MemorySink
-        from tools.check_telemetry import check_line
 
         sink = MemorySink()
         obs.enable(sink)
@@ -178,7 +176,7 @@ class TestRecoverAudit:
         assert len(noops) == 1
         assert noops[0]["component"] == "switch"
         assert noops[0]["t"] == 1.5
-        assert check_line(json.dumps(noops[0]), 1) == []
+        assert check_event(noops[0]) == []
 
 
 class TestRandomSchedules:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.chaos import ChaosEvent, ChaosSchedule, CommandFault
@@ -94,8 +92,8 @@ class TestRetry:
 
     def test_retry_events_validate(self, controller):
         from repro import obs
+        from repro.obs.contract import check_event
         from repro.obs.sinks import MemorySink
-        from tools.check_telemetry import check_line
 
         victim = sorted(
             Controller(FlatTree(FlatTreeDesign.for_fat_tree(8)))
@@ -116,7 +114,7 @@ class TestRetry:
         assert retries[0]["fault"] == "timeout"
         assert retries[0]["attempt"] == 1
         for event in retries:
-            assert check_line(json.dumps(event), 1) == []
+            assert check_event(event) == []
 
 
 class TestRollback:
@@ -174,8 +172,8 @@ class TestRollback:
 
     def test_rollback_event_validates(self, controller):
         from repro import obs
+        from repro.obs.contract import check_event
         from repro.obs.sinks import MemorySink
-        from tools.check_telemetry import check_line
 
         _ref, _before, plan = reference_plan()
         victim = sorted(plan.config_changes)[0]
@@ -190,7 +188,7 @@ class TestRollback:
         rollbacks = [e for e in sink.events
                      if e.get("name") == "core.reconfigure.batch_rollback"]
         assert len(rollbacks) == 1
-        assert check_line(json.dumps(rollbacks[0]), 1) == []
+        assert check_event(rollbacks[0]) == []
 
     def test_batch_timeout_rolls_back(self, controller):
         _ref, _before, plan = reference_plan()
@@ -274,8 +272,8 @@ class TestDoubleFaultRollback:
 
     def test_restore_retry_events_validate(self, controller):
         from repro import obs
+        from repro.obs.contract import check_event
         from repro.obs.sinks import MemorySink
-        from tools.check_telemetry import check_line
 
         _ref, _before, plan = reference_plan()
         victim = sorted(plan.config_changes)[0]
@@ -293,7 +291,7 @@ class TestDoubleFaultRollback:
         # at attempt 5 emits one more.
         assert [e["attempt"] for e in retries] == [1, 2, 3, 4, 5]
         for event in retries:
-            assert check_line(json.dumps(event), 1) == []
+            assert check_event(event) == []
 
 
 class TestPlantFaultsAndHeal:

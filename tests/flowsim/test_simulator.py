@@ -294,12 +294,10 @@ class TestTopologyEvents:
         assert late.path.edges()[0] == (PlainSwitch(0), PlainSwitch(2))
 
     def test_reroute_events_validate(self, diamond_net):
-        import json
-
         from repro import obs
         from repro.flowsim.simulator import TopologyEvent
+        from repro.obs.contract import check_event
         from repro.obs.sinks import MemorySink
-        from tools.check_telemetry import check_line
 
         degraded = diamond_net.copy()
         degraded.remove_cable(PlainSwitch(1), PlainSwitch(3))
@@ -318,7 +316,7 @@ class TestTopologyEvents:
                     if e.get("name") == "flowsim.flow_rerouted"]
         assert len(rerouted) == 1
         assert rerouted[0]["outcome"] == "rerouted"
-        assert check_line(json.dumps(rerouted[0]), 1) == []
+        assert check_event(rerouted[0]) == []
 
     def test_negative_event_time_rejected(self, diamond_net):
         from repro.flowsim.simulator import TopologyEvent

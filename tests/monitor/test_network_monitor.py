@@ -230,7 +230,7 @@ class TestExport:
         assert "interval 0.5s" in text and "retention 16" in text
 
     def test_events_exported_when_telemetry_on(self, line_net, memory_sink):
-        from tools.check_telemetry import check_line
+        from repro.obs.contract import check_event
 
         monitor = NetworkMonitor(line_net)
         monitor.on_allocation(0.25, {(S0, S1): 0.5}, {(S0, S1): 1})
@@ -250,7 +250,7 @@ class TestExport:
         # Every exported event satisfies the wire contract checker.
         for kind in ("link_sample", "link_down", "link_up"):
             for event in by_kind[kind]:
-                assert check_line(json.dumps(event), 1) == []
+                assert check_event(event) == []
 
     def test_no_export_when_telemetry_off(self, line_net, clean_obs):
         monitor = NetworkMonitor(line_net)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.obs import contract
 
 
@@ -20,17 +22,97 @@ def span_event(**over):
     return base
 
 
+#: One conforming line per registered event name and per declared kind.
+CONFORMING = {
+    "core.profiling.skipped_candidate": event(
+        "core.profiling.skipped_candidate", m=2, n=1, reason="infeasible"),
+    "core.reconfigure.converter_retry": event(
+        "core.reconfigure.converter_retry", converter="c0", attempt=1,
+        batch=0, fault="nack", t=0.2),
+    "core.reconfigure.batch_rollback": event(
+        "core.reconfigure.batch_rollback", batch=1, converters=3,
+        reason="retries exhausted", t=0.4),
+    "core.failures.heal": event(
+        "core.failures.heal", reconfigured=2, unrecoverable=0, t=3.5),
+    "flowsim.flow_rerouted": event(
+        "flowsim.flow_rerouted", flow_id=7, outcome="failed", t=1.0),
+    "experiments.degradation.solver_failure": event(
+        "experiments.degradation.solver_failure", topology="flat-tree",
+        fraction=0.1, draw=3),
+    "core.scaling.candidate_skipped": event(
+        "core.scaling.candidate_skipped", candidate="core3",
+        reason="no spare port"),
+    "perf.diff_session": event(
+        "perf.diff_session", base="base.jsonl", new="new.jsonl", grown=1,
+        shrunk=0),
+    "health.alert_firing": event(
+        "health.alert_firing", rule="link_hotspot",
+        metric="link.hottest_ewma", value=0.95, threshold=0.9, t=1.5),
+    "health.alert_resolved": event(
+        "health.alert_resolved", rule="link_hotspot",
+        metric="link.hottest_ewma", fired_for=4.8, t=6.3),
+    "health.slo_burn": event(
+        "health.slo_burn", slo="conversion_downtime", burn_rate=3.5,
+        budget_remaining=-0.01, t=2.0),
+    "selfheal.action_planned": event(
+        "selfheal.action_planned", action="reconvert", rule="link_hotspot",
+        alert_t=1.8, t=2.1),
+    "selfheal.action_started": event(
+        "selfheal.action_started", action="reconvert", rule="link_hotspot",
+        t=2.1),
+    "selfheal.action_succeeded": event(
+        "selfheal.action_succeeded", action="reconvert",
+        rule="link_hotspot", latency_s=0.09, t=2.1),
+    "selfheal.action_failed": event(
+        "selfheal.action_failed", action="heal", rule="link_failure",
+        reason="no path", t=3.0),
+    "selfheal.action_suppressed": event(
+        "selfheal.action_suppressed", action="heal", rule="link_failure",
+        reason="cooldown", t=3.0),
+    "chaos.recover_noop": event(
+        "chaos.recover_noop", component="switch", target="core0", t=1.5),
+    "span": span_event(span_id=3, parent_id=1, path="a/s", depth=1),
+    "link_sample": {
+        "ts": 1.0, "name": "monitor.link_sample", "kind": "link_sample",
+        "value": 0.5, "link": "a->b", "t": 0.5, "utilization": 0.5,
+        "rate": 5.0, "capacity": 10.0, "active_flows": 2},
+    "link_down": {
+        "ts": 1.0, "name": "monitor.link_down", "kind": "link_down",
+        "value": 1, "link": "a->b", "t": 0.5},
+    "link_up": {
+        "ts": 1.0, "name": "monitor.link_up", "kind": "link_up",
+        "value": 1, "link": "a->b", "t": 0.75, "dark_s": 0.25},
+}
+
+
+class TestDeclaredFields:
+    def test_every_name_and_kind_has_a_conforming_line(self):
+        assert set(CONFORMING) == (
+            set(contract.EVENT_FIELDS) | set(contract.KIND_FIELDS))
+
+    @pytest.mark.parametrize("name", sorted(CONFORMING))
+    def test_each_declared_field_is_required(self, name):
+        good = CONFORMING[name]
+        assert contract.check_event(good) == []
+        declared = (contract.EVENT_FIELDS.get(name)
+                    or contract.KIND_FIELDS[name])
+        for field in declared:
+            bad = dict(good)
+            del bad[field]
+            problems = contract.check_event(bad)
+            assert any(repr(field) in p for p in problems), (field, problems)
+
+
 class TestRegistryConsistency:
     def test_known_names_derived_from_event_fields(self):
         assert contract.KNOWN_EVENT_NAMES == frozenset(contract.EVENT_FIELDS)
 
-    def test_every_value_check_is_for_a_registered_name(self):
-        assert set(contract.EVENT_CHECKS) <= set(contract.KNOWN_EVENT_NAMES)
-
-    def test_required_fields_are_nonempty_frozensets(self):
-        for name, fields in contract.EVENT_FIELDS.items():
-            assert isinstance(fields, frozenset), name
+    def test_required_fields_are_nonempty_typed_tables(self):
+        tables = {**contract.EVENT_FIELDS, **contract.KIND_FIELDS}
+        for name, fields in tables.items():
             assert fields, name
+            assert all(isinstance(t, contract.FieldType)
+                       for t in fields.values()), name
 
     def test_event_kind_in_kinds(self):
         assert "event" in contract.KINDS
@@ -58,6 +140,12 @@ class TestCheckEvent:
             {"ts": 1.0, "name": "x", "kind": "blob", "value": 1})
         assert any("unknown 'kind'" in p for p in problems)
 
+    def test_unhashable_kind_rejected(self):
+        for kind in ("[1]", "{}"):
+            problems = contract.check_line(
+                f'{{"ts": 1.0, "name": "x", "kind": {kind}, "value": 1}}')
+            assert any("unknown 'kind'" in p for p in problems), kind
+
     def test_negative_duration(self):
         problems = contract.check_event(
             {"ts": 1.0, "name": "x", "kind": "timer", "duration_s": -0.5})
@@ -67,7 +155,7 @@ class TestCheckEvent:
         problems = contract.check_event(
             {"ts": 1.0, "name": "s", "kind": "span", "duration_s": 0.1})
         assert any("span missing 'path'" in p for p in problems)
-        assert any("integer 'depth'" in p for p in problems)
+        assert any("span missing 'depth'" in p for p in problems)
 
     def test_bad_converter_retry_fault_value(self):
         problems = contract.check_event(
@@ -79,7 +167,7 @@ class TestCheckEvent:
         problems = contract.check_event(
             event("experiments.degradation.solver_failure", topology="ft",
                   fraction=1.5, draw=0))
-        assert any("outside [0, 1]" in p for p in problems)
+        assert any("in [0, 1]" in p for p in problems)
 
     def test_candidate_skipped_rejects_empty_reason(self):
         problems = contract.check_event(
@@ -99,13 +187,14 @@ class TestCheckEvent:
             "value": 1, "link": "a-b", "t": 0.5, "utilization": 0.0,
             "rate": 0.0, "capacity": 0, "active_flows": 0,
         })
-        assert any("zero 'capacity'" in p for p in problems)
+        assert any("'capacity' must be a positive number" in p
+                   for p in problems)
 
 
 class TestSpanContract:
     def test_span_fields_registry(self):
-        assert contract.SPAN_FIELDS == frozenset(
-            {"path", "depth", "span_id", "parent_id"})
+        assert set(contract.KIND_FIELDS["span"]) == {
+            "path", "depth", "span_id", "parent_id"}
 
     def test_valid_root_span(self):
         assert contract.check_event(span_event()) == []
@@ -130,6 +219,10 @@ class TestSpanContract:
         del bad["parent_id"]
         problems = contract.check_event(bad)
         assert any("'parent_id'" in p for p in problems)
+
+    def test_depth_must_be_a_non_negative_integer(self):
+        assert contract.check_event(span_event(depth=True))
+        assert contract.check_event(span_event(depth=-1))
 
     def test_parent_id_must_be_null_or_positive_int(self):
         assert contract.check_event(span_event(parent_id="root"))
@@ -169,9 +262,8 @@ class TestSpanContract:
 
 class TestDiffTrendEvents:
     def test_registered_with_required_fields(self):
-        assert contract.EVENT_FIELDS["perf.diff_session"] == frozenset(
-            {"base", "new", "grown", "shrunk"})
-        assert "perf.diff_session" in contract.EVENT_CHECKS
+        assert set(contract.EVENT_FIELDS["perf.diff_session"]) == {
+            "base", "new", "grown", "shrunk"}
         # The BENCH writer and the trajectory judge are gone, and so
         # are their events.
         assert "perf.bench_session" not in contract.KNOWN_EVENT_NAMES
@@ -197,15 +289,12 @@ class TestDiffTrendEvents:
 
 class TestHealthEvents:
     def test_registered_with_required_fields(self):
-        assert contract.EVENT_FIELDS["health.alert_firing"] == frozenset(
-            {"rule", "metric", "value", "threshold", "t"})
-        assert contract.EVENT_FIELDS["health.alert_resolved"] == frozenset(
-            {"rule", "metric", "fired_for", "t"})
-        assert contract.EVENT_FIELDS["health.slo_burn"] == frozenset(
-            {"slo", "burn_rate", "budget_remaining", "t"})
-        for name in ("health.alert_firing", "health.alert_resolved",
-                     "health.slo_burn"):
-            assert name in contract.EVENT_CHECKS
+        assert set(contract.EVENT_FIELDS["health.alert_firing"]) == {
+            "rule", "metric", "value", "threshold", "t"}
+        assert set(contract.EVENT_FIELDS["health.alert_resolved"]) == {
+            "rule", "metric", "fired_for", "t"}
+        assert set(contract.EVENT_FIELDS["health.slo_burn"]) == {
+            "slo", "burn_rate", "budget_remaining", "t"}
 
     def test_valid_alert_pair(self):
         assert contract.check_event(
@@ -221,6 +310,13 @@ class TestHealthEvents:
             event("health.alert_firing", rule="r", metric="m",
                   value=1.0, threshold="high", t=1.0))
         assert any("'threshold'" in p for p in problems)
+
+    def test_alert_firing_requires_numeric_value(self):
+        problems = contract.check_event({
+            "ts": 1.0, "name": "health.alert_firing", "kind": "event",
+            "duration_s": 0.5, "rule": "r", "metric": "m",
+            "threshold": 0.9, "t": 1.0})
+        assert any("'value'" in p for p in problems)
 
     def test_negative_fired_for_rejected(self):
         problems = contract.check_event(
@@ -240,22 +336,16 @@ class TestHealthEvents:
 
 class TestSelfHealEvents:
     def test_registered_with_required_fields(self):
-        assert contract.EVENT_FIELDS["selfheal.action_planned"] == frozenset(
-            {"action", "rule", "alert_t", "t"})
-        assert contract.EVENT_FIELDS["selfheal.action_started"] == frozenset(
-            {"action", "rule", "t"})
-        assert contract.EVENT_FIELDS[
-            "selfheal.action_succeeded"] == frozenset(
-            {"action", "rule", "latency_s", "t"})
-        assert contract.EVENT_FIELDS["selfheal.action_failed"] == frozenset(
-            {"action", "rule", "reason", "t"})
-        assert contract.EVENT_FIELDS[
-            "selfheal.action_suppressed"] == frozenset(
-            {"action", "rule", "reason", "t"})
-        for name in ("selfheal.action_planned", "selfheal.action_started",
-                     "selfheal.action_succeeded", "selfheal.action_failed",
-                     "selfheal.action_suppressed"):
-            assert name in contract.EVENT_CHECKS
+        assert set(contract.EVENT_FIELDS["selfheal.action_planned"]) == {
+            "action", "rule", "alert_t", "t"}
+        assert set(contract.EVENT_FIELDS["selfheal.action_started"]) == {
+            "action", "rule", "t"}
+        assert set(contract.EVENT_FIELDS["selfheal.action_succeeded"]) == {
+            "action", "rule", "latency_s", "t"}
+        assert set(contract.EVENT_FIELDS["selfheal.action_failed"]) == {
+            "action", "rule", "reason", "t"}
+        assert set(contract.EVENT_FIELDS["selfheal.action_suppressed"]) == {
+            "action", "rule", "reason", "t"}
 
     def test_valid_action_lifecycle(self):
         assert contract.check_event(
@@ -300,9 +390,8 @@ class TestSelfHealEvents:
 
 class TestChaosRecoverNoopEvent:
     def test_registered(self):
-        assert contract.EVENT_FIELDS["chaos.recover_noop"] == frozenset(
-            {"component", "target", "t"})
-        assert "chaos.recover_noop" in contract.EVENT_CHECKS
+        assert set(contract.EVENT_FIELDS["chaos.recover_noop"]) == {
+            "component", "target", "t"}
 
     def test_valid_event(self):
         assert contract.check_event(

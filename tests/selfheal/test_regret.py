@@ -60,3 +60,32 @@ class TestRegret:
             run_regret(k=3)
         with pytest.raises(ReproError):
             run_regret(k=4, duration=1.0)
+
+
+def test_synthetic_monitor_events_pass_the_wire_contract(monkeypatch):
+    """The link events regret builds by hand for its aggregators are the
+    ones a recorded monitor trace carries, so they hold to the same
+    contract."""
+    from repro.obs.contract import check_event
+    from repro.selfheal import regret
+
+    fed = []
+    make_aggregator = regret.new_selfheal_aggregator
+
+    def recording_aggregator(**kwargs):
+        agg = make_aggregator(**kwargs)
+        consume = agg.consume
+
+        def record(event):
+            fed.append(event)
+            consume(event)
+
+        agg.consume = record
+        return agg
+
+    monkeypatch.setattr(regret, "new_selfheal_aggregator",
+                        recording_aggregator)
+    run_regret(k=4, seed=7, duration=12.0, episodes=2)
+    assert {e["kind"] for e in fed} == {"link_sample", "link_down", "link_up"}
+    for event in fed:
+        assert check_event(event) == [], event

@@ -397,7 +397,7 @@ class TestTelemetry:
     def test_monitor_run_exports_valid_link_events(self, capsys, tmp_path):
         import json
 
-        from tools.check_telemetry import check_line
+        from repro.obs.contract import check_line
 
         path = tmp_path / "monitor.jsonl"
         code, _out = run_cli(
@@ -408,8 +408,8 @@ class TestTelemetry:
         lines = path.read_text().strip().splitlines()
         kinds = {json.loads(line)["kind"] for line in lines}
         assert "link_sample" in kinds
-        for lineno, line in enumerate(lines, start=1):
-            assert check_line(line, lineno) == [], line
+        for line in lines:
+            assert check_line(line) == [], line
 
 
 class TestChaosCommand:
@@ -431,7 +431,7 @@ class TestChaosCommand:
         assert first == second
 
     def test_chaos_telemetry_validates(self, capsys, tmp_path):
-        from tools.check_telemetry import check_line
+        from repro.obs.contract import check_line
 
         path = tmp_path / "chaos.jsonl"
         code, _out = run_cli(
@@ -442,8 +442,8 @@ class TestChaosCommand:
         assert code == 0
         lines = path.read_text().strip().splitlines()
         assert lines
-        for lineno, line in enumerate(lines, start=1):
-            assert check_line(line, lineno) == [], line
+        for line in lines:
+            assert check_line(line) == [], line
 
 
 class TestStartup:

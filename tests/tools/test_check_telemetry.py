@@ -94,14 +94,6 @@ def test_min_names_coverage_gate(tmp_path, capsys):
     assert "only 2 distinct names" in err and "need 3" in err
 
 
-def test_reexports_come_from_contract():
-    from repro.obs import contract
-
-    assert check_telemetry.KINDS is contract.KINDS
-    assert check_telemetry.KNOWN_EVENT_NAMES is contract.KNOWN_EVENT_NAMES
-    assert check_telemetry.check_line is contract.check_line
-
-
 GOOD_DIFF_SESSION = {
     "ts": 10.0, "name": "perf.diff_session", "kind": "event", "value": 1,
     "base": "base.jsonl", "new": "new.jsonl", "grown": 1, "shrunk": 2,

@@ -6,6 +6,9 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
+import pytest
+
+from repro.obs.contract import EVENT_FIELDS
 from tools.flatlint import all_rules
 from tools.flatlint.engine import PARSE_ERROR_CODE, lint_paths
 
@@ -207,6 +210,25 @@ class TestFT002TelemetryContract:
                           unrecoverable=0, t=t)
             """)
         assert findings == []
+
+    @pytest.mark.parametrize("name", sorted(EVENT_FIELDS))
+    def test_each_declared_attribute_is_required(self, tmp_path, name):
+        # obs.event supplies 'value' itself, so only the others count.
+        fields = sorted(set(EVENT_FIELDS[name]) - {"value"})
+
+        def emit(kwargs):
+            return lint_snippet(tmp_path, "src/repro/core/fake.py", f"""\
+                from repro import obs
+
+                def f():
+                    obs.event({name!r}, {", ".join(kwargs)})
+                """)
+
+        assert emit(f"{f}=1" for f in fields) == []
+        for omitted in fields:
+            findings = emit(f"{f}=1" for f in fields if f != omitted)
+            assert codes(findings) == ["FT002"], omitted
+            assert f"attribute(s) {omitted} (see" in findings[0].message
 
     def test_kwargs_forwarding_skips_field_check(self, tmp_path):
         findings = lint_snippet(tmp_path, "src/repro/core/fake.py", """\

@@ -2,11 +2,11 @@
 """Validate a telemetry JSONL stream against the event wire contract.
 
 The contract itself — legal ``kind`` values, the one-off event-name
-registry, per-kind and per-name schemas — lives in
-:mod:`repro.obs.contract`, shared with the ``tools.flatlint`` static
-pass (rule FT002) so the three checkers can never drift.  This script
-is the runtime half: it replays a JSONL file through the contract's
-``check_line`` and reports every violating line.  See
+registry and the typed field tables of each kind and event name —
+lives in :mod:`repro.obs.contract`, shared with the ``tools.flatlint``
+static pass (rule FT002) so the three checkers can never drift.  This
+script is the runtime half: it replays a JSONL file through the
+contract's ``check_line`` and reports every violating line.  See
 ``docs/observability.md`` for the contract prose.
 
 Usage::
@@ -35,11 +35,6 @@ except ImportError:  # standalone invocation: python tools/check_telemetry.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from repro.obs import contract
 
-#: Re-exported for callers that treated this script as the registry.
-KINDS = contract.KINDS
-KNOWN_EVENT_NAMES = contract.KNOWN_EVENT_NAMES
-check_line = contract.check_line
-
 
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -67,7 +62,7 @@ def main(argv: List[str] | None = None) -> int:
     errors = 0
     names = set()
     for lineno, line in enumerate(lines, start=1):
-        problems = check_line(line, lineno)
+        problems = contract.check_line(line)
         if problems:
             errors += 1
             print(

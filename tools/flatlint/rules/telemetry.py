@@ -113,7 +113,7 @@ class TelemetryContractRule(Rule):
             return  # **attrs forwarding: field presence is dynamic
         provided = {kw.arg for kw in node.keywords if kw.arg is not None}
         missing = sorted(
-            self._contract.EVENT_FIELDS[name] - provided - {"value"})
+            self._contract.EVENT_FIELDS[name].keys() - provided - {"value"})
         if missing:
             yield f.finding(
                 node, self.code,

@@ -57,14 +57,21 @@ lint-fast:
 
 # Run one small experiment with telemetry enabled, validate the JSONL
 # stream against the wire contract in docs/observability.md, and prove
-# the span trace round-trips into a profile tree + folded stacks.
+# the span trace round-trips into a profile tree + folded stacks.  Then
+# record Figure 8 at k=4, whose exact LPs put the mcf.exact span and
+# counters on the wire: its trace must validate, and its all-to-all LPs
+# must have been solved over cables (mcf.exact.cable_solves).
 telemetry-smoke:
-	rm -f telemetry-smoke.jsonl
+	rm -f telemetry-smoke.jsonl telemetry-smoke-fig8.jsonl
 	PYTHONPATH=src $(PYTHON) -m repro.cli --telemetry=telemetry-smoke.jsonl fig5 --ks 4
 	$(PYTHON) tools/check_telemetry.py telemetry-smoke.jsonl --min-names 12
 	$(PYTHON) -m tools.perfreport profile telemetry-smoke.jsonl
 	$(PYTHON) -m tools.perfreport flamegraph telemetry-smoke.jsonl > /dev/null
-	rm -f telemetry-smoke.jsonl
+	PYTHONPATH=src $(PYTHON) -m repro.cli --telemetry=telemetry-smoke-fig8.jsonl fig8 --ks 4 > /dev/null
+	$(PYTHON) tools/check_telemetry.py telemetry-smoke-fig8.jsonl
+	@grep -q '"name": "mcf.exact.cable_solves"' telemetry-smoke-fig8.jsonl \
+		|| { echo "telemetry-smoke: no mcf.exact.cable_solves in telemetry-smoke-fig8.jsonl" >&2; exit 1; }
+	rm -f telemetry-smoke.jsonl telemetry-smoke-fig8.jsonl
 
 # Exercise the network monitoring plane on a k=4 all-to-all and validate
 # the link_sample/link_down/link_up events it exports, then print the
@@ -133,7 +140,7 @@ examples:
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .hypothesis
-	rm -f telemetry-smoke.jsonl
+	rm -f telemetry-smoke*.jsonl
 	rm -f monitor-smoke*.jsonl monitor-smoke-*.txt
 	rm -f chaos-smoke*.jsonl chaos-smoke-*.txt
 	rm -f HEALTH_REPORT.json health-smoke*.jsonl health-smoke-*.json

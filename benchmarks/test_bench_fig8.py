@@ -4,7 +4,7 @@ Shape: flat-tree tracks the local-random optimum and beats the two-stage
 random graph at small k (the paper's k <= 14 regime); fat-tree is the
 weakest and placement-sensitive.
 
-Default sweep is k = 4, 6, 8 (the k = 8 LPs take ~1.5 min total);
+Default sweep is k = 4, 6, 8 (about 15 s, most of it the eight k = 8 LPs);
 ``REPRO_KS`` extends the sweep, ``REPRO_SOLVER=approx`` trades exactness
 for reach.
 """

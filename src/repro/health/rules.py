@@ -71,6 +71,14 @@ class AlertRule:
     description: str = ""
 
     def __post_init__(self) -> None:
+        # A non-finite threshold fires always or never, and each firing
+        # puts the threshold on the wire, where the telemetry contract
+        # admits only finite numbers.
+        if not math.isfinite(self.threshold) or (
+                self.clear_threshold is not None
+                and not math.isfinite(self.clear_threshold)):
+            raise ReproError(
+                f"rule {self.name!r}: thresholds must be finite")
         if self.comparison not in (">", "<"):
             raise ReproError(
                 f"rule {self.name!r}: comparison must be '>' or '<'")

@@ -17,7 +17,10 @@ Two modelling consequences are encoded here:
 
 Links are full-duplex: each cable is two directed arcs of one capacity
 unit each.  Incast traffic is therefore the arc-reversal of broadcast
-traffic and achieves the identical ``λ``.
+traffic and achieves the identical ``λ``.  The same symmetry lets the
+exact LP solve symmetric demand, such as all-to-all, over cables: each
+switch pair is routed once and both arcs of a cable share one capacity
+row, at the same ``λ`` (:mod:`repro.mcf.exact`).
 """
 
 from __future__ import annotations

@@ -3,12 +3,14 @@
 Every telemetry line a sink emits is a flat JSON object carrying
 ``ts`` (number), ``name`` (non-empty string), ``kind`` (one of
 :data:`KINDS`), and either ``value`` (number) or ``duration_s``
-(non-negative number).  Spans and the monitor's link events also carry
-the fields :data:`KIND_FIELDS` declares for their kind; a one-off
-``event`` line must use a name registered in :data:`EVENT_FIELDS` and
-carry the fields declared there.  Each declaration maps a field to its
-:class:`FieldType`, so one table says both which fields a line needs
-and what each must hold; :func:`check_event` is one walk of it.
+(non-negative number); every number it asks for must be finite, so
+NaN and ±inf fail wherever a number is expected.  Spans and the
+monitor's link events also carry the fields :data:`KIND_FIELDS`
+declares for their kind; a one-off ``event`` line must use a name
+registered in :data:`EVENT_FIELDS` and carry the fields declared
+there.  Each declaration maps a field to its :class:`FieldType`, so one
+table says both which fields a line needs and what each must hold;
+:func:`check_event` is one walk of it.
 
 This module is consumed by *three* independent checkers, which is why
 it lives here and nowhere else:
@@ -30,11 +32,16 @@ directions.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Callable, FrozenSet, List, Mapping, NamedTuple
 
 
 def _numeric(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: an int, or a float that is not NaN or ±inf."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float)
+                                      and math.isfinite(value))
 
 
 def _integer(value: Any) -> bool:
@@ -48,15 +55,19 @@ class FieldType(NamedTuple):
     holds: Callable[[Any], bool]  # the test a decoded JSON value passes
 
 
-# NON_NEGATIVE and POSITIVE test ``not v < 0`` / ``not v <= 0`` so that
-# a NaN reading, which the wire has always carried there, still passes.
+# Every number is finite (``_numeric``): ``json.loads`` reads a bare NaN
+# or Infinity, and ``NaN < 0`` is false, so a range test alone would let
+# NaN through.  No producer writes a non-finite number into a declared
+# field, ``ts``, ``value`` or ``duration_s``.  The registry's NaN
+# readings (an unset gauge, an empty histogram's ``min`` and ``max``)
+# live only in ``registry.snapshot()``, which no wire line carries, and
+# ``AlertRule`` refuses a non-finite threshold.  No field is NaN-tolerant.
 NAME = FieldType("a non-empty string",
                  lambda v: isinstance(v, str) and bool(v.strip()))
 NUMBER = FieldType("a number", _numeric)
 NON_NEGATIVE = FieldType("a non-negative number",
-                         lambda v: _numeric(v) and not v < 0)
-POSITIVE = FieldType("a positive number",
-                     lambda v: _numeric(v) and not v <= 0)
+                         lambda v: _numeric(v) and v >= 0)
+POSITIVE = FieldType("a positive number", lambda v: _numeric(v) and v > 0)
 FRACTION = FieldType("a number in [0, 1]",
                      lambda v: _numeric(v) and 0 <= v <= 1)
 #: Simulated seconds on the run's own clock (the ``t`` fields).
@@ -159,7 +170,7 @@ def check_event(event: Mapping[str, Any]) -> List[str]:
     """Validate one already-decoded telemetry event (empty = valid)."""
     problems: List[str] = []
     if not _numeric(event.get("ts")):
-        problems.append("missing/non-numeric 'ts'")
+        problems.append("missing/non-numeric/non-finite 'ts'")
     name = event.get("name")
     if not NAME.holds(name):
         problems.append("missing/empty 'name'")
@@ -169,9 +180,12 @@ def check_event(event: Mapping[str, Any]) -> List[str]:
         problems.append(
             f"unknown 'kind' {kind!r} (expected one of {sorted(KINDS)})"
         )
-    duration = event.get("duration_s")
-    if not _numeric(event.get("value")) and not _numeric(duration):
-        problems.append("needs a numeric 'value' or 'duration_s'")
+    value, duration = event.get("value"), event.get("duration_s")
+    if not _numeric(value) and not _numeric(duration):
+        problems.append("needs a finite numeric 'value' or 'duration_s'")
+    for field, number in (("value", value), ("duration_s", duration)):
+        if isinstance(number, float) and not math.isfinite(number):
+            problems.append(f"non-finite {field!r} {number}")
     if _numeric(duration) and duration < 0:
         problems.append(f"negative 'duration_s' {duration}")
 

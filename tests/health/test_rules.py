@@ -139,6 +139,14 @@ class TestValidation:
             AlertRule(name="r", probe="link.gini", threshold=0.1,
                       clear_threshold=0.05, comparison="<")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_thresholds_must_be_finite(self, bad):
+        with pytest.raises(ReproError, match="finite"):
+            AlertRule(name="r", probe="link.gini", threshold=bad)
+        with pytest.raises(ReproError, match="finite"):
+            AlertRule(name="r", probe="link.gini", threshold=1,
+                      clear_threshold=bad)
+
     def test_duplicate_rule_names_rejected(self):
         rule = AlertRule(name="r", probe="link.gini", threshold=1)
         with pytest.raises(ReproError):

@@ -12,13 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, linprog
 
+from instances import counted
 from repro import obs
 from repro.core.conversion import Mode
 from repro.errors import SolverError
 from repro.experiments.common import flat_tree_network, placement_rng
 from repro.experiments.fig8_alltoall import all_to_all_workload
 from repro.mcf import exact
-from repro.mcf.commodities import Commodity, FlowProblem, build_flow_problem
+from repro.mcf.commodities import (
+    Commodity,
+    DemandGroup,
+    FlowProblem,
+    build_flow_problem,
+)
 from repro.mcf.exact import solve_concurrent_exact
 from repro.mcf.maxflow import concurrent_upper_bound, single_pair_max_flow
 from repro.obs.sinks import MemorySink
@@ -27,7 +33,10 @@ from repro.topology.elements import Network, PlainSwitch
 from repro.topology.fattree import build_fat_tree
 from repro.topology.jellyfish import build_jellyfish_like_fat_tree
 from repro.traffic.clusters import cluster_count, make_clusters
-from repro.traffic.patterns import all_to_all_commodities
+from repro.traffic.patterns import (
+    all_to_all_commodities,
+    broadcast_commodities,
+)
 from repro.traffic.placement import placement_by_name
 
 import numpy as np
@@ -256,18 +265,128 @@ class TestSolveChain:
         assert counter("mcf.exact.method_fallbacks") == 3
 
 
-@settings(max_examples=8)
-@given(
-    topology=st.sampled_from(("fat-tree", "jellyfish",
-                              "flat-tree local-random",
-                              "flat-tree global-random")),
-    placement=st.sampled_from(("locality", "weak locality", "no locality")),
-    cluster_size=st.integers(min_value=3, max_value=8),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_property_lambda_matches_vertex_solve(
-        topology, placement, cluster_size, seed):
-    """IPM without crossover finds the vertex solve's λ, on random traffic."""
+def cable_solve(problem):
+    """λ of one solve, and how many cable-form solves it made."""
+    result, moved = counted(solve_concurrent_exact, problem,
+                            ["mcf.exact.cable_solves"])
+    return result.throughput, moved["mcf.exact.cable_solves"]
+
+
+def per_arc_lambda(problem):
+    """λ of the per-arc form, which every solve with flows takes."""
+    result, moved = counted(solve_concurrent_exact, problem,
+                            ["mcf.exact.cable_solves"], return_flows=True)
+    assert moved["mcf.exact.cable_solves"] == 0
+    assert result.flows.shape == (problem.num_groups, problem.num_arcs)
+    return result.throughput
+
+
+def assert_forms_agree(problem):
+    """``problem`` solves over cables, at the per-arc form's λ."""
+    lam, cable_solves = cable_solve(problem)
+    assert cable_solves == 1
+    assert lam == pytest.approx(per_arc_lambda(problem), rel=1e-9)
+    return lam
+
+
+def fat_tree_alltoall():
+    """Two 8-server all-to-all clusters on fat-tree(4)."""
+    return all_to_all_commodities(make_clusters(list(range(16)), 8))
+
+
+class TestCableForm:
+    """Symmetric demand on full-duplex arcs is solved over cables."""
+
+    def test_fractional_demands_on_a_two_cable_bundle(self):
+        net = Network("bundle")
+        a, b, c = (PlainSwitch(i) for i in range(3))
+        for node in (a, b, c):
+            net.add_switch(node, 8)
+        net.add_cable(a, b)
+        net.add_cable(a, b)
+        net.add_cable(b, c)
+        net.add_cable(a, c)
+        for sid, node in enumerate((a, b, c)):
+            net.add_server(sid, node)
+        demands = {(0, 1): 0.75, (0, 2): 1.5, (1, 2): 0.25}
+        problem = build_flow_problem(net, [
+            Commodity(src, dst, demand)
+            for (u, v), demand in demands.items()
+            for src, dst in ((u, v), (v, u))])
+        assert sorted(problem.arc_cap) == [1.0, 1.0, 1.0, 1.0, 2.0, 2.0]
+        assert_forms_agree(problem)
+
+    def test_pair_split_across_components_gives_zero(self):
+        net = Network("split")
+        a, b, c, d = (PlainSwitch(i) for i in range(4))
+        for node in (a, b, c, d):
+            net.add_switch(node, 4)
+        net.add_cable(a, b)
+        net.add_cable(c, d)
+        net.add_server(0, a)
+        net.add_server(1, c)
+        problem = build_flow_problem(net, [Commodity(0, 1), Commodity(1, 0)])
+        assert assert_forms_agree(problem) == pytest.approx(0.0)
+        assert per_arc_lambda(problem) == pytest.approx(0.0)
+
+    def test_span_reports_the_groups_solved(self, counter, triangle):
+        problem = build_flow_problem(triangle, [
+            Commodity(s, t) for s in range(3) for t in range(3) if s != t])
+        solve_concurrent_exact(problem)
+        solve_concurrent_exact(problem, return_flows=True)
+        spans = [event for event in obs.current_sink().events
+                 if event["name"] == "mcf.exact"]
+        assert [span["groups"] for span in spans] == [2, 3]
+        assert counter("mcf.exact.cable_solves") == 1
+
+    def test_broadcast_keeps_per_arc(self):
+        clusters = make_clusters(list(range(16)), 8, random.Random(0),
+                                 with_hotspots=True)
+        problem = build_flow_problem(build_fat_tree(4),
+                                     broadcast_commodities(clusters))
+        assert cable_solve(problem)[1] == 0
+        assert cable_solve(problem.reversed())[1] == 0
+
+    @pytest.mark.parametrize("extra", [Commodity(0, 15), Commodity(0, 7)],
+                             ids=["new pair", "loaded pair"])
+    def test_one_way_commodity_keeps_per_arc(self, extra):
+        """Servers 0 and 15 share no cluster; 0 and 7 do, so the extra
+        commodity leaves their switches 5 units one way and 4 back."""
+        problem = build_flow_problem(build_fat_tree(4),
+                                     fat_tree_alltoall() + [extra])
+        assert cable_solve(problem)[1] == 0
+
+    def test_unequal_pair_capacities_keep_per_arc(self):
+        problem = build_flow_problem(build_fat_tree(4), fat_tree_alltoall())
+        assert cable_solve(problem)[1] == 1
+        problem.arc_cap = problem.arc_cap.copy()
+        problem.arc_cap[1] = 2.0
+        assert cable_solve(problem)[1] == 0
+
+    def test_arcs_not_in_antiparallel_pairs_keep_per_arc(self):
+        """Arcs 0 → 1, 1 → 2, 1 → 0, 2 → 1: pairing 2j with 2j + 1 would
+        put both hops of the 0 ↔ 2 route on one row and halve λ."""
+        problem = FlowProblem(
+            num_nodes=3,
+            arc_src=np.array([0, 1, 1, 2]),
+            arc_dst=np.array([1, 2, 0, 1]),
+            arc_cap=np.ones(4),
+            groups=[DemandGroup(0, np.array([2]), np.array([1.0])),
+                    DemandGroup(2, np.array([0]), np.array([1.0]))])
+        lam, cable_solves = cable_solve(problem)
+        assert cable_solves == 0
+        assert lam == pytest.approx(1.0)
+
+
+TOPOLOGY = st.sampled_from(("fat-tree", "jellyfish", "flat-tree local-random",
+                            "flat-tree global-random"))
+PLACEMENT = st.sampled_from(("locality", "weak locality", "no locality"))
+CLUSTER_SIZE = st.integers(min_value=3, max_value=8)
+SEED = st.integers(min_value=0, max_value=2**16)
+
+
+def alltoall_problem(topology, placement, cluster_size, seed):
+    """All-to-all clusters at k=4, placed as Figure 8 places them."""
     rng = random.Random(seed)
     if topology == "fat-tree":
         net = build_fat_tree(4)
@@ -281,10 +400,29 @@ def test_property_lambda_matches_vertex_solve(
     members = placement_by_name(
         placement, cluster_count(params.num_servers, cluster_size)
         * cluster_size, params, cluster_size, rng)
-    problem = build_flow_problem(
+    return build_flow_problem(
         net, all_to_all_commodities(make_clusters(members, cluster_size)))
+
+
+@settings(max_examples=8)
+@given(topology=TOPOLOGY, placement=PLACEMENT, cluster_size=CLUSTER_SIZE,
+       seed=SEED)
+def test_property_lambda_matches_vertex_solve(
+        topology, placement, cluster_size, seed):
+    """IPM without crossover finds the vertex solve's λ, on random traffic."""
+    problem = alltoall_problem(topology, placement, cluster_size, seed)
     lam = solve_concurrent_exact(problem).throughput
     assert lam == pytest.approx(vertex_lambda(problem), rel=1e-9)
+
+
+@settings(max_examples=12)
+@given(topology=TOPOLOGY, placement=PLACEMENT, cluster_size=CLUSTER_SIZE,
+       seed=SEED)
+def test_property_cable_form_matches_per_arc(
+        topology, placement, cluster_size, seed):
+    """Solving over cables keeps the per-arc λ, on random all-to-all traffic."""
+    assert_forms_agree(alltoall_problem(topology, placement, cluster_size,
+                                        seed))
 
 
 @given(st.integers(min_value=0, max_value=50))

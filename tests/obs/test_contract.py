@@ -151,6 +151,30 @@ class TestCheckEvent:
             {"ts": 1.0, "name": "x", "kind": "timer", "duration_s": -0.5})
         assert any("negative 'duration_s'" in p for p in problems)
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_link_sample_rejected(self, bad):
+        """``json.loads`` reads bare NaN and Infinity; none may pass."""
+        numbers = ("ts", "t", "value", "utilization", "rate", "capacity")
+        fields = ", ".join(f'"{field}": {bad}' for field in numbers)
+        problems = contract.check_line(
+            '{"name": "monitor.link_sample", "kind": "link_sample", '
+            f'"link": "a->b", "active_flows": 0, {fields}}}')
+        for field in numbers:
+            assert any(f"'{field}'" in p for p in problems), field
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_ts_value_and_duration_rejected(self, bad):
+        assert contract.check_event(
+            {"ts": bad, "name": "x", "kind": "counter", "value": 1})
+        assert any("non-finite 'value'" in p for p in contract.check_event(
+            {"ts": 1.0, "name": "x", "kind": "gauge", "value": bad}))
+        assert any("non-finite 'duration_s'" in p
+                   for p in contract.check_event(span_event(duration_s=bad)))
+        assert contract.check_event(span_event(mem_peak_kb=bad))
+        assert contract.check_event(event(
+            "health.alert_firing", rule="r", metric="m", value=1.0,
+            threshold=bad, t=1.0))
+
     def test_span_requires_path_and_depth(self):
         problems = contract.check_event(
             {"ts": 1.0, "name": "s", "kind": "span", "duration_s": 0.1})
